@@ -423,6 +423,36 @@ let serve_benchmarks () =
   ignore
     (session_handle
        { Serve.Proto.sid = "bench-hit"; op = Serve.Proto.S_close; trace = None });
+  (* ILP-UM search: one dual-approximation binary search of the LP
+     relaxation behind the randomized rounding (Theorem 3.3), solved as
+     one warm LP re-entered by the dual simplex at every probe. Its
+     counters are the work of the search — probes, LP solves, dual
+     pivots and cold fallbacks (0) — so the hard counter gate fails on
+     any pivot-count drift. *)
+  let ilp_um =
+    let t =
+      Workloads.Gen.unrelated (Workloads.Rng.create 3101) ~n:40 ~m:3 ~k:3 ()
+    in
+    let r =
+      measure_exact ~name:"ILP-UM search n=40 m=3 k=3" ~iterations:20
+        (fun () -> ignore (Algos.Lp_um.lower_bound t))
+    in
+    {
+      r with
+      Obs.Expo.counters =
+        List.map
+          (fun name ->
+            ( name,
+              Option.value ~default:0
+                (List.assoc_opt name r.Obs.Expo.counters) ))
+          [
+            "core.binary_search.probes";
+            "lp.simplex.phase1_iters";
+            "lp.simplex.solves";
+            "lp.simplex.warm_fallbacks";
+          ];
+    }
+  in
   (* flight recorder: one retained emit with two fields — the per-event
      cost every instrumented layer pays on the hot path *)
   let event =
@@ -511,9 +541,7 @@ let serve_benchmarks () =
      the round-trip under overload. The record's counters are the
      admission ledger read from the labeled cells: admission is decided
      synchronously on the event loop against the queue gauge, so it is
-     exact run-to-run — whereas the solver-side counters race (the
-     worker's own pressure check can shed the head solve when it reads
-     health after the queue meter fills) and are left out. *)
+     exact run-to-run. *)
   let mux_overload =
     let oserver =
       Serve.Server.create
@@ -598,6 +626,7 @@ let serve_benchmarks () =
       canon;
       session_repair;
       session_hit;
+      ilp_um;
       event;
       span_emit;
       health;

@@ -584,6 +584,9 @@ let serve_cmd =
                  ring to stderr without stopping the server *)
               Sys.set_signal Sys.sigquit
                 (Sys.Signal_handle (fun _ -> Obs.Event.dump_jsonl stderr));
+              (* a client that vanishes before its reply is written costs
+                 its own connection (EPIPE), never the server *)
+              Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
               let config =
                 {
                   Serve.Server.cache_capacity = cache_size;

@@ -18,8 +18,10 @@ type fractional = {
 }
 
 val feasible : Core.Instance.t -> makespan:float -> fractional option
-(** Solve the relaxation at a fixed guess. [None] = LP infeasible, hence no
-    schedule with makespan [<= makespan] exists. *)
+(** Solve the relaxation at a fixed guess with a fresh LP (two-phase
+    primal simplex). [None] = LP infeasible, hence no schedule with
+    makespan [<= makespan] exists. The reference for {!lower_bound}'s
+    warm probes and their fallback. *)
 
 type bound = {
   lower : float;
@@ -34,4 +36,18 @@ type bound = {
 val lower_bound : ?rel_tol:float -> Core.Instance.t -> bound
 (** Binary search for the LP threshold. [rel_tol] defaults to 0.02, i.e.
     [solution.makespan <= (1 + rel_tol) · lower] up to the combinatorial
-    bracket. Raises [Invalid_argument] if some job is eligible nowhere. *)
+    bracket. Raises [Invalid_argument] if some job is eligible nowhere.
+
+    The whole search is one LP ({!Lp.Simplex.warm}): rows and columns for
+    every pair allowed at the top guess, with costs [1 + work / hi] that
+    make the slack basis dual feasible. A probe at guess [T] only closes
+    the x_ij and y_ik that [T] filters out (upper bound 0) and sets the
+    load rows' right-hand side to [T], then re-solves from the previous
+    probe's basis by the dual simplex. A feasible verdict is checked
+    against (1), (2), (4) and the filters, an infeasible one by its Farkas
+    row recomputed from the original rows
+    ({!Lp.Simplex.certifies_infeasible}); a failed check or an iteration
+    limit re-solves the probe with {!feasible} and counts in
+    [lp.simplex.warm_fallbacks]. The verdicts, hence [lower], [probes] and
+    the final guess, are those of a search over {!feasible}; the solution
+    may be another vertex (the one of least work). *)

@@ -1,14 +1,16 @@
 type solution = { makespan : float; xbar : float array array }
 
-let solve ~workload ~setup ~max_job ~num_machines ~num_classes ~makespan:t =
+let solve ~workload ~setup ~max_job ~has_jobs ~num_machines ~num_classes
+    ~makespan:t =
   let lp = Lp.create () in
   let xv = Array.make_matrix num_machines num_classes None in
   for i = 0 to num_machines - 1 do
     for k = 0 to num_classes - 1 do
       let p = workload i k and s = setup i k and big = max_job i k in
       (* (14) and the (16)-style filter; also require t > s so that α_ik is
-         finite when the class has positive workload. *)
-      if p < infinity && s +. big <= t && (p = 0.0 || t > s) then
+         finite when the class has positive workload. A class without jobs
+         needs no machine: it gets no variable and no row (12). *)
+      if has_jobs k && p < infinity && s +. big <= t && (p = 0.0 || t > s) then
         xv.(i).(k) <- Some (Lp.add_var ~ub:1.0 lp (Printf.sprintf "xb_%d_%d" i k))
     done
   done;
@@ -21,8 +23,8 @@ let solve ~workload ~setup ~max_job ~num_machines ~num_classes ~makespan:t =
       | Some v -> terms := (1.0, v) :: !terms
       | None -> ()
     done;
-    if !terms = [] then feasible := false
-    else Lp.add_constraint lp !terms Lp.Eq 1.0
+    if !terms <> [] then Lp.add_constraint lp !terms Lp.Eq 1.0
+    else if has_jobs k then feasible := false
   done;
   if not !feasible then None
   else begin

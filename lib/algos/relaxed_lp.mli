@@ -23,6 +23,7 @@ val solve :
   workload:(int -> int -> float) ->
   setup:(int -> int -> float) ->
   max_job:(int -> int -> float) ->
+  has_jobs:(int -> bool) ->
   num_machines:int ->
   num_classes:int ->
   makespan:float ->
@@ -30,6 +31,8 @@ val solve :
 (** [workload i k] is [p̄_ik] ([infinity] if class [k] cannot run on [i]);
     [setup i k] is [s_ik]; [max_job i k] is the largest single-job
     processing time of class [k] on machine [i] (used by the filter).
+    A class with [has_jobs k = false] needs no machine: it gets no
+    variable and no row (12), and its [xbar] entries are 0.
     [None] = the LP is infeasible at this guess. *)
 
 type split = {

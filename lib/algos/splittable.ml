@@ -80,8 +80,9 @@ let schedule_for_guess instance ~makespan:t =
      filter reduces to "the setup alone must fit" *)
   let max_job _ _ = 0.0 in
   match
-    Relaxed_lp.solve ~workload ~setup ~max_job ~num_machines:m ~num_classes:kk
-      ~makespan:t
+    Relaxed_lp.solve ~workload ~setup ~max_job
+      ~has_jobs:(fun k -> Core.Instance.jobs_of_class instance k <> [])
+      ~num_machines:m ~num_classes:kk ~makespan:t
   with
   | None -> None
   | Some sol ->

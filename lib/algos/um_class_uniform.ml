@@ -21,7 +21,8 @@ let schedule_for_guess instance ~makespan:t =
   let setup i k = Core.Instance.setup_time instance i k in
   let max_job i k = if class_eligible i k then ptime_ik i k else infinity in
   match
-    Relaxed_lp.solve ~workload ~setup ~max_job ~num_machines:m
+    Relaxed_lp.solve ~workload ~setup ~max_job
+      ~has_jobs:(fun k -> jobs_of_class.(k) <> []) ~num_machines:m
       ~num_classes:kk ~makespan:t
   with
   | None -> None

@@ -76,6 +76,16 @@ let h_case_us = Obs.Histogram.make "check.case_us"
 
 (* --- instance generation ---------------------------------------------- *)
 
+let empty_one_class rng instance =
+  let k = R.int rng (I.num_classes instance) in
+  match
+    List.filter
+      (fun j -> instance.I.job_class.(j) <> k)
+      (List.init (I.num_jobs instance) Fun.id)
+  with
+  | [] -> instance
+  | kept -> I.induced instance kept
+
 (* Two out of three cases stay within the exact oracle's reach so that
    ratio-bound is actually exercised; the rest stress the bounds path. *)
 let gen_instance rng env ~exact_job_limit ~max_jobs =
@@ -84,15 +94,21 @@ let gen_instance rng env ~exact_job_limit ~max_jobs =
   let n = 2 + R.int rng (hi - 1) in
   let m = 1 + R.int rng 4 in
   let k = 1 + R.int rng (min n 4) in
-  match env with
-  | Identical -> Workloads.Gen.identical rng ~n ~m ~k ()
-  | Uniform -> Workloads.Gen.uniform rng ~n ~m ~k ()
-  | Restricted -> Workloads.Gen.restricted_class_uniform rng ~n ~m ~k ()
-  | Unrelated ->
-      (* alternate the general model with the class-uniform one so the
-         Theorem-3.11 solver is exercised too *)
-      if R.bool rng then Workloads.Gen.unrelated rng ~n ~m ~k ()
-      else Workloads.Gen.class_uniform_ptimes rng ~n ~m ~k ()
+  let instance =
+    match env with
+    | Identical -> Workloads.Gen.identical rng ~n ~m ~k ()
+    | Uniform -> Workloads.Gen.uniform rng ~n ~m ~k ()
+    | Restricted -> Workloads.Gen.restricted_class_uniform rng ~n ~m ~k ()
+    | Unrelated ->
+        (* alternate the general model with the class-uniform one so the
+           Theorem-3.11 solver is exercised too *)
+        if R.bool rng then Workloads.Gen.unrelated rng ~n ~m ~k ()
+        else Workloads.Gen.class_uniform_ptimes rng ~n ~m ~k ()
+  in
+  (* One case in five empties a class, as a session drop of the class's
+     last job does: the class stays declared (setups, indices) with no
+     job left to pay its setup. *)
+  if R.float rng < 0.2 then empty_one_class rng instance else instance
 
 (* --- one case ---------------------------------------------------------- *)
 

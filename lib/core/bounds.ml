@@ -23,7 +23,13 @@ let volume_bound t =
       for i = 0 to m - 1 do
         speed_sum := !speed_sum +. Instance.speed t i
       done;
-      let setup_sum = Array.fold_left ( +. ) 0.0 t.Instance.setups in
+      (* only classes with jobs pay a setup, as in [class_bound] *)
+      let setup_sum = ref 0.0 in
+      for k = 0 to Instance.num_classes t - 1 do
+        if Instance.jobs_of_class t k <> [] then
+          setup_sum := !setup_sum +. t.Instance.setups.(k)
+      done;
+      let setup_sum = !setup_sum in
       (Instance.total_size t +. setup_sum) /. !speed_sum
   | Instance.Restricted _ | Instance.Unrelated _ ->
       let work = ref 0.0 in
@@ -96,12 +102,16 @@ let class_bound t =
       done);
   !best
 
-let lower_bound t =
-  Float.max (class_bound t) (Float.max (job_bound t) (volume_bound t))
-
 let naive_upper_bound t =
   let sum = ref 0.0 in
   for j = 0 to Instance.num_jobs t - 1 do
     sum := !sum +. min_cost_of_job t j
   done;
   !sum
+
+(* Capped by the naive upper bound: summing in another order, a bound
+   that is tight can land an ulp above it (one job: (p + s)/v against
+   p/v + s/v), and every binary search starts from lo <= hi. *)
+let lower_bound t =
+  Float.min (naive_upper_bound t)
+    (Float.max (class_bound t) (Float.max (job_bound t) (volume_bound t)))

@@ -12,7 +12,8 @@ val volume_bound : Instance.t -> float
 (** Work-volume bound. For identical/uniform machines:
     [(Σ_j p_j + Σ_k s_k) / Σ_i v_i] (every class present in a schedule pays
     at least one setup). For restricted/unrelated machines:
-    [(Σ_j min_i p_ij + Σ_k min_i s_ik) / m]. *)
+    [(Σ_j min_i p_ij + Σ_k min_i s_ik) / m]. Both sums over [k] run over
+    classes that have jobs. *)
 
 val class_bound : Instance.t -> float
 (** Per-class spread bound. If class [k] runs on a machine set [M'], then
@@ -24,7 +25,8 @@ val class_bound : Instance.t -> float
     dominates. *)
 
 val lower_bound : Instance.t -> float
-(** Best of the above bounds. *)
+(** Best of the above bounds, capped by {!naive_upper_bound} (a tight
+    bound summed in another order can exceed it by rounding). *)
 
 val naive_upper_bound : Instance.t -> float
 (** [Σ_j min_i (p_ij + s_{i,k_j})]: the makespan of placing every job on

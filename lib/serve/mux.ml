@@ -39,12 +39,16 @@ type conn = {
 
 (* One admitted request waiting for a pool slot; [wenq_us] dates the
    wait so dispatch can charge queue time against the request's own
-   deadline. *)
+   deadline, and [wpressure] is the health verdict taken at admission,
+   which the worker's dispatch uses instead of reading health again:
+   otherwise the frames queued behind this one, filling the mux.queue
+   meter, would shed the frame the mux admitted. *)
 type work = {
   wconn : conn;
   wslot : Proto.response option ref;
   wincoming : Proto.incoming;
   wenq_us : float;
+  wpressure : bool;
 }
 
 type metrics = {
@@ -234,8 +238,8 @@ let set_queue_depth t =
    process halves the queue it is willing to hold, an unhealthy one
    stops queueing entirely (every pooled request is shed until the
    meters recover). *)
-let capacity t =
-  match Obs.Health.status () with
+let capacity t status =
+  match status with
   | Obs.Health.Ok -> t.config.max_pending
   | Obs.Health.Degraded _ -> max 1 (t.config.max_pending / 2)
   | Obs.Health.Unhealthy _ -> 0
@@ -296,15 +300,17 @@ let dispatch t (work : work) =
       work.wslot := Some (shed_response t work.wincoming);
       pump t work.wconn
   | Some incoming ->
+      let pressure = work.wpressure in
       if t.max_inflight = 0 then begin
-        work.wslot := Some (Server.handle_incoming t.server incoming);
+        work.wslot :=
+          Some (Server.handle_incoming ~pressure t.server incoming);
         pump t work.wconn
       end
       else begin
         t.inflight <- t.inflight + 1;
         Parallel.Pool.submit (Server.pool t.server) (fun () ->
             let response =
-              try Server.handle_incoming t.server incoming
+              try Server.handle_incoming ~pressure t.server incoming
               with exn ->
                 Proto.Error
                   (Printf.sprintf "internal error: %s" (Printexc.to_string exn))
@@ -335,7 +341,8 @@ let admit t conn (incoming : Proto.incoming) =
       pump t conn
   | Proto.Solve _ | Proto.Session _ | Proto.Profile _ ->
       let depth = Queue.length t.pending in
-      let cap = capacity t in
+      let status = Obs.Health.status () in
+      let cap = capacity t status in
       if depth >= cap then begin
         record_admission t
           (if depth >= t.config.max_pending then Shed_queue_full
@@ -347,7 +354,8 @@ let admit t conn (incoming : Proto.incoming) =
         record_admission t Admitted;
         Queue.push
           { wconn = conn; wslot = slot; wincoming = incoming;
-            wenq_us = Obs.Sink.now_us () }
+            wenq_us = Obs.Sink.now_us ();
+            wpressure = status <> Obs.Health.Ok }
           t.pending;
         set_queue_depth t;
         dispatch_pending t

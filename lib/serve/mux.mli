@@ -18,7 +18,9 @@
     deadline, i.e. the near-linear fast path and a [degraded] reply
     (or the cached result, when the instance is already cached).
     Requests that out-wait their own deadline in the queue are shed the
-    same way at dispatch time.
+    same way at dispatch time. An admitted request keeps the health
+    verdict taken at its admission for its own dispatch, so frames
+    queued behind it cannot shed it.
 
     Observability (created per-mux, so non-mux processes do not carry
     the series): counters [serve.mux.accepted] / [serve.mux.closed] /

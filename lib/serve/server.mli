@@ -105,7 +105,7 @@ type t
 
 val create : config -> t
 
-val handle_request : t -> Proto.request -> Proto.response
+val handle_request : ?pressure:bool -> t -> Proto.request -> Proto.response
 (** The transport-independent core: fingerprint ({!Canon.prehash}),
     canonicalize, consult the cache, and on a miss dispatch under the
     request's deadline and cache the result (degraded results are not
@@ -116,13 +116,20 @@ val handle_request : t -> Proto.request -> Proto.response
     ([serve.canon.prehash_misses]; seen pre-hashes count in
     [serve.canon.prehash_hits]). Cached schedules are translated back
     through the request's labeling. Used directly by the bench
-    harness. *)
+    harness.
 
-val handle_incoming : t -> Proto.incoming -> Proto.response
+    [pressure] fixes the admission-control verdict passed to
+    {!Dispatch.solve}; by default [Obs.Health.status] is read when the
+    heavy solver is about to run. *)
+
+val handle_incoming : ?pressure:bool -> t -> Proto.incoming -> Proto.response
 (** Dispatch one parsed frame of any kind to its handler — the shared
     core of every transport ({!serve_channels} and the mux event loop).
     Admin frames stamp a health heartbeat here; solve/session frames
-    carry their own inside their request context. *)
+    carry their own inside their request context. [pressure] is handed
+    to solve and session frames as in {!handle_request}: the mux passes
+    the health verdict it took at admission, so frames queued behind an
+    admitted one cannot shed it. *)
 
 val protocol_error : string -> Proto.response
 (** The response for a frame that failed to parse: counts the failure in

@@ -4,7 +4,8 @@
    1. replay every committed reproducer in test/corpus (a regression
       there means a historical bug is back);
    2. a deterministic clean fuzz burst over all four environments must
-      find zero violations;
+      find zero violations, and every warm LP verdict in it must pass its
+      checks (no cold fallback);
    3. the checker must still be able to catch bugs: a deliberately
       broken algorithm (Props.mutant) is fuzzed, must be caught, must
       shrink to a handful of jobs, and its written reproducer must
@@ -39,7 +40,12 @@ let clean_fuzz_burst () =
   let cfg =
     { Check.Driver.default with budget = Check.Driver.Cases 120; seed = 20260805 }
   in
+  let fallbacks = Obs.Counter.make "lp.simplex.warm_fallbacks" in
+  let fallbacks_before = Obs.Counter.value fallbacks in
   let s = Check.Driver.run cfg in
+  (* every warm ILP-UM verdict of the burst passed its own checks *)
+  check "no warm LP verdict fell back to a cold solve"
+    (Obs.Counter.value fallbacks = fallbacks_before);
   List.iter
     (fun (f : Check.Driver.failure) ->
       List.iter

@@ -263,11 +263,9 @@ let test_lp_um_sandwich () =
       >= bound.Algos.Lp_um.lower -. 1e-6)
   done
 
-let test_lp_um_solution_constraints () =
-  let rng = Workloads.Rng.create 23 in
-  let t = Workloads.Gen.unrelated rng ~n:8 ~m:3 ~k:3 () in
-  let bound = Algos.Lp_um.lower_bound t in
-  let sol = bound.Algos.Lp_um.solution in
+(* Constraints (1), (2) and (4) on a fractional solution, whichever LP
+   path produced it. *)
+let check_lp_um_solution t (sol : Algos.Lp_um.fractional) =
   let tt = sol.Algos.Lp_um.makespan in
   let n = I.num_jobs t and m = I.num_machines t and kk = I.num_classes t in
   (* (2): assignments sum to one *)
@@ -282,7 +280,9 @@ let test_lp_um_solution_constraints () =
   for i = 0 to m - 1 do
     let load = ref 0.0 in
     for j = 0 to n - 1 do
-      load := !load +. (sol.Algos.Lp_um.x.(i).(j) *. I.ptime t i j);
+      (* an ineligible pair has p_ij = infinity and x_ij = 0 *)
+      if sol.Algos.Lp_um.x.(i).(j) > 0.0 then
+        load := !load +. (sol.Algos.Lp_um.x.(i).(j) *. I.ptime t i j);
       Alcotest.(check bool) "y dominates x" true
         (sol.Algos.Lp_um.y.(i).(t.I.job_class.(j))
         >= sol.Algos.Lp_um.x.(i).(j) -. 1e-6)
@@ -295,11 +295,53 @@ let test_lp_um_solution_constraints () =
       (!load <= tt +. 1e-5)
   done
 
+let test_lp_um_solution_constraints () =
+  let rng = Workloads.Rng.create 23 in
+  let t = Workloads.Gen.unrelated rng ~n:8 ~m:3 ~k:3 () in
+  check_lp_um_solution t (Algos.Lp_um.lower_bound t).Algos.Lp_um.solution
+
 let test_lp_um_infeasible_below_bound () =
   let t = uniform_fixture () in
   let opt = Algos.Exact.makespan t in
   Alcotest.(check bool) "infeasible well below OPT" true
     (Algos.Lp_um.feasible t ~makespan:(opt /. 10.0) = None)
+
+(* --- Empty classes --------------------------------------------------------- *)
+
+(* Jobs 3, 4 and 5 in class 0 (setup 1) on two machines, OPT 8 (3+4+1
+   against 5+1); class 1 (setup 100) has no job and must cost nothing. *)
+let empty_class_identical () =
+  I.identical ~num_machines:2 ~sizes:[| 3.0; 4.0; 5.0 |]
+    ~job_class:[| 0; 0; 0 |] ~setups:[| 1.0; 100.0 |]
+
+(* The same jobs on restricted machines: with no job, class 1 is eligible
+   nowhere, so it has no finite setup on any machine. *)
+let empty_class_restricted () =
+  I.restricted
+    ~eligible:[| [| true; true; true |]; [| true; true; true |] |]
+    ~sizes:[| 3.0; 4.0; 5.0 |] ~job_class:[| 0; 0; 0 |]
+    ~setups:[| 1.0; 100.0 |]
+
+let test_empty_class name instance () =
+  let t = instance () in
+  let opt = brute_force t in
+  check_float 1e-9 (name ^ ": OPT") 8.0 opt;
+  Alcotest.(check bool) (name ^ ": lower bound <= OPT") true
+    (Core.Bounds.lower_bound t <= opt +. 1e-9);
+  let bound = Algos.Lp_um.lower_bound t in
+  Alcotest.(check bool) (name ^ ": LP lower bound <= OPT") true
+    (bound.Algos.Lp_um.lower <= opt +. 1e-6);
+  check_lp_um_solution t bound.Algos.Lp_um.solution;
+  let r = Algos.Ra_class_uniform.schedule t in
+  Alcotest.(check bool) (name ^ ": ra-2approx valid") true
+    (S.is_valid t r.Algos.Common.schedule);
+  Alcotest.(check bool) (name ^ ": ra-2approx within 2(1+tol) OPT") true
+    (r.Algos.Common.makespan <= (2.0 *. 1.02 *. opt) +. 1e-9);
+  match Serve.Dispatch.solve ~hint:"portfolio" t with
+  | Error msg -> Alcotest.failf "%s: portfolio dispatch failed: %s" name msg
+  | Ok o ->
+      Alcotest.(check bool) (name ^ ": portfolio valid") true
+        (S.is_valid t o.Serve.Dispatch.result.Algos.Common.schedule)
 
 (* --- Randomized rounding -------------------------------------------------- *)
 
@@ -1220,6 +1262,61 @@ let prop_lp_lower_bound_sound =
       let bound = Algos.Lp_um.lower_bound t in
       bound.Algos.Lp_um.lower <= opt +. 1e-6)
 
+(* The warm search re-solves one LP from the previous probe's basis; a
+   cold search builds and solves a fresh LP per guess. Both must walk the
+   same trajectory: same verdict at every probe, hence the same probe
+   count, certified lower bound and final guess. *)
+let lp_um_shape_gen =
+  QCheck.Gen.(
+    let* seed = int_range 1 1_000_000 in
+    let* shape = int_range 0 8 in
+    let* n = int_range 2 14 in
+    let* m = int_range 1 4 in
+    let* k = int_range 1 4 in
+    return (seed, shape, n, m, k))
+
+let lp_um_shape_instance (seed, shape, n, m, k) =
+  let rng = Workloads.Rng.create seed in
+  let k = min k n in
+  match shape with
+  | 0 -> Workloads.Gen.identical rng ~n ~m ~k ()
+  | 1 -> Workloads.Gen.uniform rng ~n ~m ~k ()
+  | 2 -> Workloads.Gen.unrelated rng ~n ~m ~k ()
+  | 3 -> Workloads.Gen.restricted_class_uniform rng ~n ~m ~k ()
+  | 4 -> Workloads.Gen.class_uniform_ptimes rng ~n ~m ~k ()
+  | 5 -> Workloads.Gen.unrelated rng ~n ~m ~k ~setup_range:(0.0, 0.0) ()
+  | 6 -> Workloads.Gen.unrelated rng ~n ~m ~k ~ineligible_prob:0.4 ()
+  | 7 -> Workloads.Gen.unrelated rng ~n ~m:1 ~k ()
+  | _ -> Workloads.Gen.uniform rng ~n ~m ~k:1 ()
+
+let prop_lp_um_warm_matches_cold =
+  QCheck.Test.make ~name:"warm ILP-UM search matches a cold search" ~count:60
+    (QCheck.make lp_um_shape_gen) (fun params ->
+      let t = lp_um_shape_instance params in
+      let lo = Core.Bounds.lower_bound t in
+      let hi = Core.Bounds.naive_upper_bound t in
+      let probes = ref 0 and max_infeasible = ref lo in
+      let cold guess =
+        incr probes;
+        let answer = Algos.Lp_um.feasible t ~makespan:guess in
+        if answer = None && guess > !max_infeasible then
+          max_infeasible := guess;
+        answer
+      in
+      let cold_guess =
+        match Core.Binary_search.min_feasible ~lo ~hi ~rel_tol:0.02 cold with
+        | Some (guess, _) -> guess
+        | None -> nan
+      in
+      let fallbacks = Obs.Counter.make "lp.simplex.warm_fallbacks" in
+      let before = Obs.Counter.value fallbacks in
+      let warm = Algos.Lp_um.lower_bound t in
+      check_lp_um_solution t warm.Algos.Lp_um.solution;
+      warm.Algos.Lp_um.probes = !probes
+      && warm.Algos.Lp_um.lower = !max_infeasible
+      && warm.Algos.Lp_um.solution.Algos.Lp_um.makespan = cold_guess
+      && Obs.Counter.value fallbacks = before)
+
 let prop_ra_two_approx =
   QCheck.Test.make ~name:"RA class-uniform stays within 2(1+tol) OPT"
     ~count:25 (QCheck.make instance_gen) (fun (seed, n, m, k) ->
@@ -1424,6 +1521,13 @@ let () =
           Alcotest.test_case "rejects unrelated" `Quick
             test_uniform_ptas_rejects_unrelated;
         ] );
+      ( "empty classes",
+        [
+          Alcotest.test_case "identical" `Quick
+            (test_empty_class "identical" empty_class_identical);
+          Alcotest.test_case "restricted" `Quick
+            (test_empty_class "restricted" empty_class_restricted);
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
@@ -1431,6 +1535,7 @@ let () =
             prop_greedy_vs_exact;
             prop_lpt_factor;
             prop_lp_lower_bound_sound;
+            prop_lp_um_warm_matches_cold;
             prop_ra_two_approx;
             prop_um_three_approx;
           ] );

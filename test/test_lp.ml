@@ -487,6 +487,122 @@ let prop_two_var_optimal =
       | Lp.Unbounded -> false (* impossible: box-bounded *)
       | _ -> false)
 
+(* --- Warm re-solves (bounded dual simplex) ------------------------------ *)
+
+let expect_primal name = function
+  | Lp.Simplex.Primal x -> x
+  | Lp.Simplex.Farkas _ -> Alcotest.failf "%s: expected feasible" name
+  | Lp.Simplex.Stalled -> Alcotest.failf "%s: stalled" name
+
+let counter name = Obs.Counter.value (Obs.Counter.make name)
+
+(* min x + 2y  s.t.  x + y >= d (written -x - y <= -d),  0 <= x, y <= 3:
+   the cheap column carries the demand up to its bound, then y takes the
+   rest. Each demand is a right-hand-side change on one tableau. *)
+let covering_lp () =
+  Lp.Simplex.warm
+    ~rows:[| [| (0, -1.0); (1, -1.0) |] |]
+    ~b:[| -2.0 |] ~c:[| 1.0; 2.0 |] ~lb:[| 0.0; 0.0 |] ~ub:[| 3.0; 3.0 |]
+    ~eq:[| false |]
+
+let test_warm_rhs_change () =
+  let w = covering_lp () in
+  let solves = counter "lp.simplex.solves"
+  and phase2 = counter "lp.simplex.phase2_iters" in
+  let x = expect_primal "d=2" (Lp.Simplex.resolve w) in
+  check_float 1e-9 "d=2: x" 2.0 x.(0);
+  check_float 1e-9 "d=2: y" 0.0 x.(1);
+  Lp.Simplex.set_rhs w 0 (-4.0);
+  let x = expect_primal "d=4" (Lp.Simplex.resolve w) in
+  check_float 1e-9 "d=4: x" 3.0 x.(0);
+  check_float 1e-9 "d=4: y" 1.0 x.(1);
+  Lp.Simplex.set_rhs w 0 (-1.0);
+  let x = expect_primal "d=1" (Lp.Simplex.resolve w) in
+  check_float 1e-9 "d=1: x" 1.0 x.(0);
+  check_float 1e-9 "d=1: y" 0.0 x.(1);
+  (* every re-solve counts as a solve; dual pivots are not phase-2 pivots *)
+  Alcotest.(check int) "solves counted" 3
+    (counter "lp.simplex.solves" - solves);
+  Alcotest.(check int) "no phase-2 pivots" 0
+    (counter "lp.simplex.phase2_iters" - phase2)
+
+let test_warm_bound_tighten_reopen () =
+  let w = covering_lp () in
+  ignore (expect_primal "open" (Lp.Simplex.resolve w));
+  (* close the cheap column: the demand moves to y *)
+  Lp.Simplex.set_bounds w 0 ~lb:0.0 ~ub:0.0;
+  let x = expect_primal "x closed" (Lp.Simplex.resolve w) in
+  check_float 1e-9 "x closed: x" 0.0 x.(0);
+  check_float 1e-9 "x closed: y" 2.0 x.(1);
+  (* reopen it: back to the cheap vertex from the current basis *)
+  Lp.Simplex.set_bounds w 0 ~lb:0.0 ~ub:3.0;
+  let x = expect_primal "x reopened" (Lp.Simplex.resolve w) in
+  check_float 1e-9 "x reopened: x" 2.0 x.(0);
+  check_float 1e-9 "x reopened: y" 0.0 x.(1);
+  (* a raised lower bound forces y into the solution *)
+  Lp.Simplex.set_bounds w 1 ~lb:1.5 ~ub:3.0;
+  let x = expect_primal "y >= 1.5" (Lp.Simplex.resolve w) in
+  check_float 1e-9 "y >= 1.5: x" 0.5 x.(0);
+  check_float 1e-9 "y >= 1.5: y" 1.5 x.(1)
+
+(* x + y + z = 1 with x <= z and y <= z (an assignment row with its
+   setup-domination rows): z >= 1/3 is implied, so z <= 0.3 is
+   infeasible and the Farkas row must prove it from the original rows. *)
+let test_warm_infeasible_certificate () =
+  let rows =
+    [|
+      [| (0, 1.0); (1, 1.0); (2, 1.0) |];
+      [| (0, 1.0); (2, -1.0) |];
+      [| (1, 1.0); (2, -1.0) |];
+    |]
+  in
+  let b = [| 1.0; 0.0; 0.0 |] and eq = [| true; false; false |] in
+  let lb = [| 0.0; 0.0; 0.0 |] in
+  let w =
+    Lp.Simplex.warm ~rows ~b ~c:[| 1.0; 1.5; 1.2 |] ~lb
+      ~ub:[| 1.0; 1.0; 1.0 |] ~eq
+  in
+  let x = expect_primal "z <= 1" (Lp.Simplex.resolve w) in
+  check_float 1e-9 "assigned" 1.0 (x.(0) +. x.(1) +. x.(2));
+  let ub = [| 1.0; 1.0; 0.3 |] in
+  Lp.Simplex.set_bounds w 2 ~lb:0.0 ~ub:0.3;
+  (match Lp.Simplex.resolve w with
+  | Lp.Simplex.Farkas y ->
+      Alcotest.(check bool) "certificate checks" true
+        (Lp.Simplex.certifies_infeasible ~rows ~b ~lb ~ub ~eq y);
+      (* the same row proves nothing once z may reach 1/3 *)
+      Alcotest.(check bool) "void when the bound allows a solution" false
+        (Lp.Simplex.certifies_infeasible ~rows ~b ~lb
+           ~ub:[| 1.0; 1.0; 0.4 |] ~eq y);
+      Alcotest.(check bool) "zero row rejected" false
+        (Lp.Simplex.certifies_infeasible ~rows ~b ~lb ~ub ~eq
+           [| 0.0; 0.0; 0.0 |])
+  | Lp.Simplex.Primal _ -> Alcotest.fail "expected infeasible, got feasible"
+  | Lp.Simplex.Stalled -> Alcotest.fail "expected infeasible, got stalled");
+  (* and the tableau recovers when the bound reopens *)
+  Lp.Simplex.set_bounds w 2 ~lb:0.0 ~ub:0.4;
+  let x = expect_primal "z <= 0.4" (Lp.Simplex.resolve w) in
+  check_float 1e-9 "assigned again" 1.0 (x.(0) +. x.(1) +. x.(2));
+  Alcotest.(check bool) "x <= z" true (x.(0) <= x.(2) +. 1e-9);
+  Alcotest.(check bool) "y <= z" true (x.(1) <= x.(2) +. 1e-9);
+  Alcotest.(check bool) "z <= 0.4" true (x.(2) <= 0.4 +. 1e-9)
+
+let test_warm_validation () =
+  Alcotest.(check bool) "negative cost on an unbounded column rejected" true
+    (try
+       ignore
+         (Lp.Simplex.warm ~rows:[| [| (0, 1.0) |] |] ~b:[| 1.0 |] ~c:[| -1.0 |]
+            ~lb:[| 0.0 |] ~ub:[| infinity |] ~eq:[| false |]);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "column out of range rejected" true
+    (try
+       ignore
+         (Lp.Simplex.warm ~rows:[| [| (1, 1.0) |] |] ~b:[| 1.0 |] ~c:[| 1.0 |]
+            ~lb:[| 0.0 |] ~ub:[| 1.0 |] ~eq:[| false |]);
+       false
+     with Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "lp"
     [
@@ -503,6 +619,15 @@ let () =
           Alcotest.test_case "redundant rows" `Quick
             test_simplex_redundant_rows;
           Alcotest.test_case "badly scaled" `Quick test_simplex_badly_scaled;
+        ] );
+      ( "dual resolve",
+        [
+          Alcotest.test_case "rhs change" `Quick test_warm_rhs_change;
+          Alcotest.test_case "bound tightened then reopened" `Quick
+            test_warm_bound_tighten_reopen;
+          Alcotest.test_case "infeasible certificate" `Quick
+            test_warm_infeasible_certificate;
+          Alcotest.test_case "validation" `Quick test_warm_validation;
         ] );
       ( "model",
         [
