@@ -620,7 +620,7 @@ let () =
             test_simplex_redundant_rows;
           Alcotest.test_case "badly scaled" `Quick test_simplex_badly_scaled;
         ] );
-      ( "dual resolve",
+      ( "warm start",
         [
           Alcotest.test_case "rhs change" `Quick test_warm_rhs_change;
           Alcotest.test_case "bound tightened then reopened" `Quick
