@@ -364,39 +364,6 @@ let experiments_cmd =
 
 (* --- serve ------------------------------------------------------------- *)
 
-let parse_hostport flag s =
-  match String.rindex_opt s ':' with
-  | None -> Error (Printf.sprintf "%s expects HOST:PORT, got %S" flag s)
-  | Some i -> (
-      let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      | Some p when p >= 0 && p < 65536 && host <> "" -> Ok (host, p)
-      | Some _ | None ->
-          Error (Printf.sprintf "%s expects HOST:PORT, got %S" flag s))
-
-(* Dial a serve target — a Unix socket path or HOST:PORT (the same
-   grammar every client command shares; see Serve.Scrape.resolve). *)
-let connect_serve target =
-  match Serve.Scrape.resolve target with
-  | Error msg -> Error msg
-  | Ok (domain, addr) -> (
-      match
-        let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-        (try
-           Unix.connect fd addr;
-           if domain = Unix.PF_INET then Unix.setsockopt fd Unix.TCP_NODELAY true
-         with e ->
-           Unix.close fd;
-           raise e);
-        fd
-      with
-      | exception Unix.Unix_error (err, _, _) ->
-          Error
-            (Printf.sprintf "cannot connect to %s: %s" target
-               (Unix.error_message err))
-      | fd -> Ok fd)
-
 let serve_cmd =
   let stdio_arg =
     Arg.(value & flag
@@ -406,10 +373,12 @@ let serve_cmd =
   let socket_arg =
     Arg.(value & opt (some string) None
          & info [ "socket" ] ~docv:"PATH"
-             ~doc:"Listen on a Unix-domain socket at $(docv); each \
-                   connection is a session, handled concurrently. \
-                   Combined with $(b,--tcp), the path is served by the \
-                   same multiplexed event loop.")
+             ~doc:"Listen on a Unix-domain socket at $(docv) through the \
+                   multiplexed event loop, exactly like $(b,--tcp): each \
+                   connection is a session, requests may be pipelined, \
+                   and solver-bound frames pass the $(b,--max-pending) \
+                   admission queue. Combined with $(b,--tcp), one loop \
+                   serves both listeners.")
   in
   let tcp_arg =
     Arg.(value & opt (some string) None
@@ -438,10 +407,11 @@ let serve_cmd =
   let max_pending_arg =
     Arg.(value & opt int 64
          & info [ "max-pending" ] ~docv:"N"
-             ~doc:"Mux admission bound: at most $(docv) solver-bound \
-                   requests queued (halved when health is degraded, \
-                   zero when unhealthy); excess requests are shed with \
-                   an immediate degraded fast-path reply.")
+             ~doc:"Admission bound of $(b,--socket) and $(b,--tcp) \
+                   servers: at most $(docv) solver-bound requests queued \
+                   (halved when health is degraded, zero when \
+                   unhealthy); excess requests are shed with an \
+                   immediate degraded fast-path reply.")
   in
   let cache_arg =
     Arg.(value & opt int 128
@@ -451,8 +421,12 @@ let serve_cmd =
   let jobs_arg =
     Arg.(value & opt (some int) None
          & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Worker domains for concurrent sessions (default: \
-                   auto).")
+             ~doc:"Pool domains (default: auto). A socket server's event \
+                   loop runs up to $(docv)-1 solver-bound requests at \
+                   once (with 1, on the loop itself); with $(docv) > 2, \
+                   pipelined requests of one connection may run \
+                   concurrently. $(b,--stdio) answers one frame at a \
+                   time.")
   in
   let deadline_arg =
     Arg.(value & opt (some float) None
@@ -627,6 +601,18 @@ let serve_cmd =
                       (Unix.string_of_inet_addr ip) p
                 | Unix.ADDR_UNIX p -> Printf.eprintf "serving on %s\n%!" p
               in
+              (* --tcp takes the HOST:PORT half of the client target
+                 grammar (Serve.Scrape.hostport) *)
+              let tcp_listener () =
+                match tcp with
+                | None -> Ok None
+                | Some hp -> (
+                    match Serve.Scrape.hostport hp with
+                    | Some (host, port) -> Ok (Some (hp, host, port))
+                    | None ->
+                        Error
+                          (Printf.sprintf "--tcp expects HOST:PORT, got %S" hp))
+              in
               let serve_router () =
                 let backend_list =
                   match backends with
@@ -640,33 +626,32 @@ let serve_cmd =
                 else if stdio then
                   `Error (false, "--router cannot serve --stdio")
                 else
-                  match (socket, tcp) with
-                  | None, None ->
+                  match (socket, tcp_listener ()) with
+                  | _, Error msg -> `Error (false, msg)
+                  | None, Ok None ->
                       `Error
                         ( false,
                           "--router needs a listener: --socket PATH or --tcp \
                            HOST:PORT" )
-                  | Some _, Some _ ->
+                  | Some _, Ok (Some _) ->
                       `Error
                         ( false,
                           "choose one of --socket or --tcp for the router \
                            listener" )
-                  | listener -> (
+                  | _, Ok tcp -> (
                       let rt = Serve.Router.create backend_list in
                       let stop _ = Serve.Router.stop rt in
                       Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
                       Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
                       match
-                        (match listener with
-                        | Some path, None ->
-                            Serve.Router.bind_unix rt ~path;
-                            banner (Unix.ADDR_UNIX path)
-                        | None, Some hp -> (
-                            match parse_hostport "--tcp" hp with
-                            | Ok (host, port) ->
-                                banner (Serve.Router.bind_tcp rt ~host ~port)
-                            | Error msg -> failwith msg)
-                        | _ -> assert false);
+                        banner
+                          (match (socket, tcp) with
+                          | Some path, _ ->
+                              Serve.Router.bind_unix rt ~path;
+                              Unix.ADDR_UNIX path
+                          | None, Some (_, host, port) ->
+                              Serve.Router.bind_tcp rt ~host ~port
+                          | None, None -> assert false);
                         Printf.eprintf "routing across %d backend(s)\n%!"
                           (Serve.Router.backend_count rt);
                         Serve.Router.run rt
@@ -674,9 +659,6 @@ let serve_cmd =
                       | () ->
                           Serve.Router.shutdown rt;
                           finish ~stats
-                      | exception Failure msg ->
-                          Serve.Router.shutdown rt;
-                          `Error (false, msg)
                       | exception Unix.Unix_error (err, _, _) ->
                           Serve.Router.shutdown rt;
                           `Error
@@ -684,73 +666,66 @@ let serve_cmd =
                               Printf.sprintf "cannot listen: %s"
                                 (Unix.error_message err) ))
               in
-              let serve_mux hp =
-                match parse_hostport "--tcp" hp with
-                | Error msg -> `Error (false, msg)
-                | Ok (host, port) -> (
-                    let server = Serve.Server.create config in
-                    let mux =
-                      Serve.Mux.create
-                        ~config:
-                          {
-                            Serve.Mux.max_pending;
-                            max_connections =
-                              Serve.Mux.default_config
-                                .Serve.Mux.max_connections;
-                          }
-                        server
-                    in
-                    let stop _ = Serve.Mux.stop mux in
-                    Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-                    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-                    match
-                      let addr = Serve.Mux.add_tcp mux ~host ~port in
-                      Option.iter
-                        (fun path -> Serve.Mux.add_unix mux ~path)
-                        socket;
-                      addr
-                    with
-                    | exception Unix.Unix_error (err, _, _) ->
-                        Serve.Server.shutdown server;
-                        `Error
-                          ( false,
-                            Printf.sprintf "cannot listen on %s: %s" hp
-                              (Unix.error_message err) )
-                    | addr ->
-                        banner addr;
-                        Option.iter
-                          (fun path -> banner (Unix.ADDR_UNIX path))
-                          socket;
-                        Serve.Mux.run mux;
-                        Serve.Server.shutdown server;
-                        finish ~stats)
+              (* every listening socket, Unix or TCP, is served by one
+                 multiplexed event loop *)
+              let serve_mux tcp =
+                let server = Serve.Server.create config in
+                let mux =
+                  Serve.Mux.create
+                    ~config:
+                      {
+                        Serve.Mux.max_pending;
+                        max_connections =
+                          Serve.Mux.default_config.Serve.Mux.max_connections;
+                      }
+                    server
+                in
+                let stop _ = Serve.Mux.stop mux in
+                Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+                Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+                let bind name add =
+                  try add ()
+                  with Unix.Unix_error (err, _, _) ->
+                    failwith
+                      (Printf.sprintf "cannot listen on %s: %s" name
+                         (Unix.error_message err))
+                in
+                match
+                  (* TCP first, so the kernel-chosen port leads the banners *)
+                  let tcp_addr =
+                    Option.map
+                      (fun (hp, host, port) ->
+                        bind hp (fun () -> Serve.Mux.add_tcp mux ~host ~port))
+                      tcp
+                  in
+                  Option.iter
+                    (fun path -> bind path (fun () -> Serve.Mux.add_unix mux ~path))
+                    socket;
+                  Option.to_list tcp_addr
+                  @ Option.to_list (Option.map (fun p -> Unix.ADDR_UNIX p) socket)
+                with
+                | exception Failure msg ->
+                    Serve.Server.shutdown server;
+                    `Error (false, msg)
+                | addrs ->
+                    List.iter banner addrs;
+                    Serve.Mux.run mux;
+                    Serve.Server.shutdown server;
+                    finish ~stats
               in
               let result =
                 if router then serve_router ()
                 else
                   match (stdio, socket, tcp) with
-                  | false, _, Some hp -> serve_mux hp
                   | true, None, None ->
                       let server = Serve.Server.create config in
                       Serve.Server.run_stdio server;
                       Serve.Server.shutdown server;
                       finish ~stats
-                  | false, Some path, None -> (
-                      let server = Serve.Server.create config in
-                      let stop _ = Serve.Server.stop server in
-                      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-                      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-                      Printf.eprintf "serving on %s\n%!" path;
-                      match Serve.Server.listen server ~path with
-                      | () ->
-                          Serve.Server.shutdown server;
-                          finish ~stats
-                      | exception Unix.Unix_error (err, _, _) ->
-                          Serve.Server.shutdown server;
-                          `Error
-                            ( false,
-                              Printf.sprintf "cannot listen on %s: %s" path
-                                (Unix.error_message err) ))
+                  | false, Some _, _ | false, _, Some _ -> (
+                      match tcp_listener () with
+                      | Error msg -> `Error (false, msg)
+                      | Ok tcp -> serve_mux tcp)
                   | true, _, _ | false, None, None ->
                       `Error
                         ( false,
@@ -811,7 +786,7 @@ let clone_random_job rng inst =
    first resolves (full solves) vs mutation resolves (repairs) — so the
    printed speedup compares p50 from-scratch against p50 repair; cache
    hits say nothing about solver latency and are excluded from both. *)
-let loadgen_sessions ~ic ~oc ~instance ~path ~sessions ~mutations ~deadline
+let loadgen_sessions ~conn ~instance ~path ~sessions ~mutations ~deadline
     ~permute ~seed ~json =
   let rng = Workloads.Rng.create seed in
   let h_full = Obs.Histogram.make "loadgen.session_full_us" in
@@ -824,12 +799,9 @@ let loadgen_sessions ~ic ~oc ~instance ~path ~sessions ~mutations ~deadline
   let exception Transport of string in
   let exchange req =
     incr attempted;
-    Serve.Proto.write_session_request oc req;
-    match Serve.Proto.read_response ic with
-    | Ok (Some resp) -> resp
-    | Ok None -> raise (Transport "server closed the session")
+    match Serve.Scrape.exchange conn (Serve.Proto.Session req) with
+    | Ok resp -> resp
     | Error msg -> raise (Transport msg)
-    | exception Sys_error msg -> raise (Transport msg)
   in
   let count_mode = function
     | Some "cache" -> incr cache_hits
@@ -1061,7 +1033,7 @@ let loadgen_cmd =
         (* a server vanishing mid-run must surface as a counted
            transport error, not a SIGPIPE death *)
         Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-        let connect_one () = connect_serve socket in
+        let connect_one () = Serve.Scrape.connect socket in
         if hold_open then begin
           (* slow-client mode: park connections mid-frame (header sent,
              body never arriving) so the server's event loop has to keep
@@ -1074,18 +1046,13 @@ let loadgen_cmd =
                | Error msg ->
                    failed := Some msg;
                    raise Exit
-               | Ok fd ->
-                   held := fd :: !held;
-                   let oc = Unix.out_channel_of_descr fd in
-                   output_string oc "request v1\n";
-                   flush oc
+               | Ok conn ->
+                   held := conn :: !held;
+                   output_string conn.Serve.Scrape.oc "request v1\n";
+                   flush conn.Serve.Scrape.oc
              done
            with Exit -> ());
-          let release () =
-            List.iter
-              (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-              !held
-          in
+          let release () = List.iter Serve.Scrape.close !held in
           match !failed with
           | Some msg ->
               let got = List.length !held in
@@ -1111,22 +1078,10 @@ let loadgen_cmd =
              | Error msg ->
                  conn_error := Some msg;
                  raise Exit
-             | Ok fd ->
-                 conns.(i) <-
-                   Some
-                     ( fd,
-                       Unix.in_channel_of_descr fd,
-                       Unix.out_channel_of_descr fd )
+             | Ok conn -> conns.(i) <- Some conn
            done
          with Exit -> ());
-        let close_all () =
-          Array.iter
-            (function
-              | Some (fd, _, _) -> (
-                  try Unix.close fd with Unix.Unix_error _ -> ())
-              | None -> ())
-            conns
-        in
+        let close_all () = Array.iter (Option.iter Serve.Scrape.close) conns in
         match !conn_error with
         | Some msg ->
             close_all ();
@@ -1139,10 +1094,9 @@ let loadgen_cmd =
               | None -> assert false
             in
             if sessions > 0 then begin
-              let _, ic, oc = conn 1 in
               let r =
-                loadgen_sessions ~ic ~oc ~instance ~path ~sessions ~mutations
-                  ~deadline ~permute ~seed ~json
+                loadgen_sessions ~conn:(conn 1) ~instance ~path ~sessions
+                  ~mutations ~deadline ~permute ~seed ~json
               in
               close_all ();
               match r with `Ok () -> finish ~stats:false | other -> other
@@ -1176,9 +1130,8 @@ let loadgen_cmd =
                       in
                       let tid = Printf.sprintf "lg%d.%d" seed i in
                       tids.(i) <- tid;
-                      let _, _, oc = conn i in
                       t_send.(i) <- Obs.Sink.now_us ();
-                      Serve.Proto.write_request oc
+                      Serve.Proto.write_request (conn i).Serve.Scrape.oc
                         {
                           Serve.Proto.solver;
                           deadline_ms = deadline;
@@ -1191,8 +1144,7 @@ let loadgen_cmd =
                     transport_error := Some msg;
                     raise Exit);
                  for i = 1 to count do
-                   let _, ic, _ = conn i in
-                   (match Serve.Proto.read_response ic with
+                   (match Serve.Proto.read_response (conn i).Serve.Scrape.ic with
                    | Ok (Some (Serve.Proto.Reply r)) ->
                        if r.Serve.Proto.trace <> Some tids.(i) then
                          incr echo_bad;
@@ -1230,47 +1182,32 @@ let loadgen_cmd =
                  Obs.Sink.with_ctx tid @@ fun () ->
                  Obs.Span.phase ~detail:("trace=" ^ tid) "loadgen.request"
                  @@ fun () ->
-                 let _, ic, oc = conn i in
                  let t0 = Obs.Sink.now_us () in
                  (match
-                    Serve.Proto.write_request oc
-                      {
-                        Serve.Proto.solver;
-                        deadline_ms = deadline;
-                        instance = inst;
-                        trace =
-                          Some
-                            {
-                              Serve.Proto.tid;
-                              parent = Obs.Sink.current_span ();
-                            };
-                      };
-                    Serve.Proto.read_response ic
+                    Serve.Scrape.exchange (conn i)
+                      (Serve.Proto.Solve
+                         {
+                           Serve.Proto.solver;
+                           deadline_ms = deadline;
+                           instance = inst;
+                           trace =
+                             Some
+                               {
+                                 Serve.Proto.tid;
+                                 parent = Obs.Sink.current_span ();
+                               };
+                         })
                   with
-                 | Ok (Some (Serve.Proto.Reply r)) ->
+                 | Ok (Serve.Proto.Reply r) ->
                      if r.Serve.Proto.trace <> Some tid then incr echo_bad;
                      if r.Serve.Proto.cache_hit then incr hits;
                      if r.Serve.Proto.degraded then incr degraded;
                      last_makespan := r.Serve.Proto.makespan
-                 | Ok (Some (Serve.Proto.Stats_reply _))
-                 | Ok (Some (Serve.Proto.Events_reply _))
-                 | Ok (Some (Serve.Proto.Health_reply _))
-                 | Ok (Some (Serve.Proto.Explain_reply _))
-                 | Ok (Some (Serve.Proto.Session_reply _))
-                 | Ok (Some (Serve.Proto.Profile_reply _))
-                 | Ok (Some (Serve.Proto.Error _)) ->
-                     incr errors
-                 | Ok None ->
-                     (* the server closed the stream: every further
-                        request would fail identically, so stop *)
-                     incr errors;
-                     transport_error := Some "server closed the session";
-                     raise Exit
+                 | Ok _ -> incr errors
                  | Error msg ->
-                     incr errors;
-                     transport_error := Some msg;
-                     raise Exit
-                 | exception Sys_error msg ->
+                     (* the stream is gone (closed, broken or garbled):
+                        every further request would fail identically, so
+                        stop *)
                      incr errors;
                      transport_error := Some msg;
                      raise Exit);
@@ -1615,7 +1552,9 @@ let metrics_cmd =
     | Ok conn ->
         let t0 = Unix.gettimeofday () in
         let rec go i prev =
-          match Serve.Scrape.fetch_stats conn with
+          match
+            Serve.Scrape.fetch conn (Serve.Proto.Stats Serve.Proto.Prometheus)
+          with
           | Error msg ->
               Serve.Scrape.close conn;
               `Error (false, msg)
@@ -1663,32 +1602,13 @@ let metrics_cmd =
         print_string (render format);
         `Ok ()
     | None, Some path -> (
-        match connect_serve path with
+        match Serve.Scrape.fetch_once path (Serve.Proto.Stats format) with
         | Error msg -> `Error (false, msg)
-        | Ok fd ->
-            let ic = Unix.in_channel_of_descr fd in
-            let oc = Unix.out_channel_of_descr fd in
-            Serve.Proto.write_stats_request oc format;
-            let result =
-              match Serve.Proto.read_response ic with
-              | Ok (Some (Serve.Proto.Stats_reply { body; _ })) ->
-                  print_string body;
-                  if body <> "" && body.[String.length body - 1] <> '\n' then
-                    print_newline ();
-                  `Ok ()
-              | Ok (Some (Serve.Proto.Error msg)) -> `Error (false, msg)
-              | Ok
-                  (Some
-                     ( Serve.Proto.Reply _ | Serve.Proto.Events_reply _
-                     | Serve.Proto.Health_reply _ | Serve.Proto.Explain_reply _
-                     | Serve.Proto.Session_reply _
-                     | Serve.Proto.Profile_reply _ )) ->
-                  `Error (false, "server answered the wrong frame kind")
-              | Ok None -> `Error (false, "server closed the session")
-              | Error msg -> `Error (false, msg)
-            in
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            result)
+        | Ok body ->
+            print_string body;
+            if body <> "" && body.[String.length body - 1] <> '\n' then
+              print_newline ();
+            `Ok ())
   in
   let info =
     Cmd.info "metrics"
@@ -1730,30 +1650,14 @@ let events_cmd =
   let run socket count level =
     if count < 1 then `Error (false, "--count must be >= 1")
     else
-      match connect_serve socket with
+      match
+        Serve.Scrape.fetch_once socket
+          (Serve.Proto.Events { count = Some count; min_level = level })
+      with
       | Error msg -> `Error (false, msg)
-      | Ok fd ->
-          let ic = Unix.in_channel_of_descr fd in
-          let oc = Unix.out_channel_of_descr fd in
-          Serve.Proto.write_events_request ~count ~level oc;
-          let result =
-            match Serve.Proto.read_response ic with
-            | Ok (Some (Serve.Proto.Events_reply { body })) ->
-                print_string body;
-                `Ok ()
-            | Ok (Some (Serve.Proto.Error msg)) -> `Error (false, msg)
-            | Ok
-                (Some
-                   ( Serve.Proto.Reply _ | Serve.Proto.Stats_reply _
-                   | Serve.Proto.Health_reply _ | Serve.Proto.Explain_reply _
-                   | Serve.Proto.Session_reply _
-                   | Serve.Proto.Profile_reply _ )) ->
-                `Error (false, "server answered the wrong frame kind")
-            | Ok None -> `Error (false, "server closed the session")
-            | Error msg -> `Error (false, msg)
-          in
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          result
+      | Ok body ->
+          print_string body;
+          `Ok ()
   in
   let info =
     Cmd.info "events"
@@ -1821,34 +1725,15 @@ let explain_cmd =
                    echoed on a reply's $(b,trace) line.")
   in
   let run socket id =
-    match connect_serve socket with
+    match Serve.Scrape.fetch_once socket (Serve.Proto.Explain id) with
     | Error msg -> `Error (false, msg)
-    | Ok fd ->
-        let ic = Unix.in_channel_of_descr fd in
-        let oc = Unix.out_channel_of_descr fd in
-        Serve.Proto.write_explain_request oc id;
-        let result =
-          match Serve.Proto.read_response ic with
-          | Ok (Some (Serve.Proto.Explain_reply { body })) ->
-              String.split_on_char '\n' body
-              |> List.iter (fun line ->
-                     if String.starts_with ~prefix:"phase " line then
-                       render_phase_line line
-                     else if line <> "" then print_endline line);
-              `Ok ()
-          | Ok (Some (Serve.Proto.Error msg)) -> `Error (false, msg)
-          | Ok
-              (Some
-                 ( Serve.Proto.Reply _ | Serve.Proto.Stats_reply _
-                 | Serve.Proto.Events_reply _ | Serve.Proto.Health_reply _
-                 | Serve.Proto.Session_reply _
-                 | Serve.Proto.Profile_reply _ )) ->
-              `Error (false, "server answered the wrong frame kind")
-          | Ok None -> `Error (false, "server closed the session")
-          | Error msg -> `Error (false, msg)
-        in
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        result
+    | Ok body ->
+        String.split_on_char '\n' body
+        |> List.iter (fun line ->
+               if String.starts_with ~prefix:"phase " line then
+                 render_phase_line line
+               else if line <> "" then print_endline line);
+        `Ok ()
   in
   let info =
     Cmd.info "explain"
@@ -1985,9 +1870,14 @@ let top_cmd =
              into [buf], and return the stats series so the next frame
              can show interval deltas (rate, last-interval latency). *)
           let frame ~first prev =
-            let* health = Serve.Scrape.fetch_health conn in
-            let* stats = Serve.Scrape.fetch_stats conn in
-            let* events = Serve.Scrape.fetch_events ~count:400 conn in
+            let fetch = Serve.Scrape.fetch conn in
+            let* health = fetch Serve.Proto.Health in
+            let* stats = fetch (Serve.Proto.Stats Serve.Proto.Prometheus) in
+            let* events =
+              fetch
+                (Serve.Proto.Events
+                   { count = Some 400; min_level = Obs.Event.Debug })
+            in
             let series = Serve.Scrape.parse_prometheus stats in
             let hl = Serve.Scrape.health_lines health in
             Buffer.clear buf;
@@ -2090,7 +1980,17 @@ let top_cmd =
                a failed capture (e.g. an engine already armed by another
                client) degrades the panel, not the dashboard *)
             if hotspots > 0.0 then begin
-              match Serve.Scrape.fetch_profile ~seconds:hotspots conn with
+              match
+                fetch
+                  (Serve.Proto.Profile
+                     {
+                       paction = Serve.Proto.P_capture hotspots;
+                       pmode = Obs.Profile.Cpu;
+                       prate = None;
+                       pformat = Obs.Profile.Collapsed;
+                       pfilter = None;
+                     })
+              with
               | Error msg -> line "hotspots - (%s)" msg
               | Ok body -> (
                   match Serve.Scrape.top_self_frames ~limit:5 body with
@@ -2258,30 +2158,20 @@ let profile_cmd =
                   (Printf.sprintf
                      "unknown action %S (want capture|status|start|stop)" a)
           in
-          match Serve.Scrape.connect path with
-          | Error msg -> `Error (false, msg)
-          | Ok conn ->
-              let result =
-                Serve.Scrape.exchange_profile conn
-                  {
-                    Serve.Proto.paction;
-                    pmode;
-                    prate = rate;
-                    pformat;
-                    pfilter = id;
-                  }
-              in
-              Serve.Scrape.close conn;
-              let* body = result in
-              (match paction with
-              | Serve.Proto.P_status | Serve.Proto.P_start ->
-                  (* status lines, not a profile: never SVG material *)
-                  print_string body;
-                  `Ok ()
-              | Serve.Proto.P_stop | Serve.Proto.P_capture _ ->
-                  emit ~out ~svg
-                    ~title:(Printf.sprintf "schedtool profile · %s · %s" path mode)
-                    body))
+          let* body =
+            Serve.Scrape.fetch_once path
+              (Serve.Proto.Profile
+                 { paction; pmode; prate = rate; pformat; pfilter = id })
+          in
+          match paction with
+          | Serve.Proto.P_status | Serve.Proto.P_start ->
+              (* status lines, not a profile: never SVG material *)
+              print_string body;
+              `Ok ()
+          | Serve.Proto.P_stop | Serve.Proto.P_capture _ ->
+              emit ~out ~svg
+                ~title:(Printf.sprintf "schedtool profile · %s · %s" path mode)
+                body)
       | None, args -> (
           if action <> "capture" then
             `Error (false, "--action only applies to --socket mode")

@@ -183,9 +183,10 @@ let quantile s q =
     | [] -> s.max_value (* unreachable: ranks are <= count *)
     | (ub, c) :: rest ->
         if seen + c >= rank then
-          (* the overflow bucket has no finite upper bound; the tracked
-             maximum is the tightest statement we can make there *)
-          if ub = infinity then s.max_value else ub
+          (* no observation exceeds the tracked maximum, so it caps the
+             bucket bound — and stands in for the overflow bucket's
+             infinite one *)
+          Float.min ub s.max_value
         else go (seen + c) rest
   in
   go 0 s.buckets

@@ -5,9 +5,10 @@
     [<= 1], bucket [i >= 1] covers [(ratio^(i-1), ratio^i]], and a final
     bucket overflows to [+inf] (values beyond ~1e12 land there).
     {!quantile} reports the upper bound of the bucket containing the
-    requested order statistic, so for values in (1, 1e12) the estimate
-    [e] of a true quantile [v] satisfies [v <= e < ratio * v] — the
-    relative error is bounded by the bucket ratio.
+    requested order statistic, capped at the tracked maximum, so for
+    values in (1, 1e12) the estimate [e] of a true quantile [v]
+    satisfies [v <= e < ratio * v] — the relative error is bounded by
+    the bucket ratio.
 
     Recording is contention-free across {!Parallel.Pool} worker domains:
     each domain owns a private shard (a [Domain.DLS] slot holding one
@@ -72,9 +73,10 @@ val snapshot : ?include_empty:bool -> unit -> snapshot list
 
 val quantile : snapshot -> float -> float
 (** [quantile s q] for [q] in [[0, 1]]: the upper bound of the bucket
-    holding the [ceil (q * count)]-th smallest observation (the exact
-    tracked maximum for the overflow bucket). Raises [Invalid_argument]
-    on an empty snapshot or [q] outside [[0, 1]]. *)
+    holding the [ceil (q * count)]-th smallest observation, capped at
+    the exact tracked maximum (so no quantile exceeds [max_value], and
+    the overflow bucket reports it). Raises [Invalid_argument] on an
+    empty snapshot or [q] outside [[0, 1]]. *)
 
 val find : string -> t option
 (** Look up a histogram by name without creating it. *)

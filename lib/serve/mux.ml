@@ -84,8 +84,8 @@ type t = {
 }
 
 (* Metrics are created per-mux (not at module load) so processes that
-   never start the mux — plain [schedtool metrics], the legacy blocking
-   transport — do not grow serve.mux.* series in their expositions. *)
+   never start the mux — plain [schedtool metrics], [--stdio] sessions,
+   the router — do not grow serve.mux.* series in their expositions. *)
 let make_metrics () =
   let admission = Obs.Labeled.family "serve.mux.admission" ~label:"outcome" in
   {
@@ -135,31 +135,17 @@ let create ?(config = default_config) server =
        { family = "serve.mux.admission"; good_values = [ "admitted" ] });
   t
 
-let listen_backlog = 128
+let add_listener t fd path =
+  Unix.set_nonblock fd;
+  t.listeners <- (fd, path) :: t.listeners
 
 let add_tcp t ~host ~port =
-  let addr =
-    match Unix.getaddrinfo host (string_of_int port)
-            [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM; Unix.AI_FAMILY Unix.PF_INET ]
-    with
-    | { Unix.ai_addr; _ } :: _ -> ai_addr
-    | [] -> raise (Unix.Unix_error (Unix.EADDRNOTAVAIL, "getaddrinfo", host))
-  in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd addr;
-  Unix.listen fd listen_backlog;
-  Unix.set_nonblock fd;
-  t.listeners <- (fd, None) :: t.listeners;
+  let fd = Scrape.listen (Scrape.tcp_address ~host ~port) in
+  add_listener t fd None;
   Unix.getsockname fd
 
 let add_unix t ~path =
-  if Sys.file_exists path then Sys.remove path;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd listen_backlog;
-  Unix.set_nonblock fd;
-  t.listeners <- (fd, Some path) :: t.listeners
+  add_listener t (Scrape.listen (Unix.ADDR_UNIX path)) (Some path)
 
 let wake t =
   try ignore (Unix.write_substring t.wake_w "x" 0 1)

@@ -1,7 +1,9 @@
-(** Multiplexed transport: one readiness-driven event loop
-    ([Unix.select] over non-blocking sockets) owns every listener and
-    connection, so socket I/O never ties up a solver worker and a slow
-    or idle client costs one fd plus its buffers — not a pool slot.
+(** Multiplexed transport — the one transport for listening sockets,
+    Unix-domain ([serve --socket]) and TCP ([serve --tcp]) alike: one
+    readiness-driven event loop ([Unix.select] over non-blocking
+    sockets) owns every listener and connection, so socket I/O never
+    ties up a solver worker and a slow or idle client costs one fd plus
+    its buffers — not a pool slot.
 
     Bytes are fed to {!Proto.Incremental} as they arrive, so requests
     may be pipelined: every frame gets a response slot in arrival order
@@ -10,8 +12,11 @@
 
     Admission control: solver-bound frames (solve, session, profile)
     enter a bounded pending queue drained onto the server's
-    {!Parallel.Pool}; admin frames (stats, events, health, explain)
-    answer inline. The queue bound tightens with the {!Obs.Health}
+    {!Parallel.Pool}, at most [pool size - 1] in flight (on a
+    one-domain pool they run on the loop itself), so with more than
+    two domains the pipelined frames of one connection may run
+    concurrently; admin frames (stats, events, health, explain) answer
+    inline. The queue bound tightens with the {!Obs.Health}
     status lattice — full capacity when [Ok], half when [Degraded],
     zero when [Unhealthy] — and an over-capacity frame is {e shed}: it
     is answered immediately through the same dispatch path with a zero
@@ -52,14 +57,15 @@ val create : ?config:config -> Server.t -> t
     SLO. Raises [Invalid_argument] if [max_pending < 1]. *)
 
 val add_tcp : t -> host:string -> port:int -> Unix.sockaddr
-(** Bind and listen on a TCP address (IPv4; [SO_REUSEADDR]; client
-    sockets get [TCP_NODELAY]). Returns the bound address — with port 0
+(** Bind and listen on a TCP address ({!Scrape.listen}: IPv4,
+    [SO_REUSEADDR]; client sockets get [TCP_NODELAY]). Returns the bound address — with port 0
     the kernel picks a free port, and the returned address carries it.
     Raises [Unix.Unix_error] if the address cannot be bound. *)
 
 val add_unix : t -> path:string -> unit
-(** Bind and listen on a Unix-domain socket at [path] (replacing a
-    stale socket file; removed again when {!run} returns). *)
+(** Bind and listen on a Unix-domain socket at [path] ({!Scrape.listen}
+    replaces a stale socket file; removed again when {!run} returns).
+    Raises [Unix.Unix_error] if the path cannot be bound. *)
 
 val run : t -> unit
 (** Run the event loop until {!stop}: accept, read, parse, admit,

@@ -106,32 +106,6 @@ let stats_format_of_string = function
 let float_to_text x =
   if x = infinity then "inf" else Printf.sprintf "%.17g" x
 
-(* --- frame reading ------------------------------------------------------ *)
-
-let input_line_opt ic = try Some (String.trim (input_line ic)) with End_of_file -> None
-
-(* First non-blank line, or None at EOF. *)
-let rec read_header ic =
-  match input_line_opt ic with
-  | None -> None
-  | Some "" -> read_header ic
-  | Some line -> Some line
-
-(* Body lines of the current frame, up to (excluding) the [end]
-   terminator. [Error] if the stream ends mid-frame. *)
-let read_body ic =
-  let rec go acc =
-    match input_line_opt ic with
-    | None -> Result.Error "truncated frame: missing \"end\" terminator"
-    | Some "end" -> Ok (List.rev acc)
-    | Some line -> go (line :: acc)
-  in
-  go []
-
-(* Skip the rest of a frame whose header was unacceptable, so the session
-   can resynchronize on the next frame. *)
-let drain_frame ic = ignore (read_body ic)
-
 (* --- requests ----------------------------------------------------------- *)
 
 let split_first line =
@@ -581,9 +555,9 @@ let parse_session body =
 (* --- frames ------------------------------------------------------------- *)
 
 (* One assembled frame, transport-agnostic: the header line plus the body
-   lines up to (excluding) the [end] terminator. The channel readers and
-   the incremental parser both reduce to this before dispatching on the
-   header, so every transport shares one parse path. *)
+   lines up to (excluding) the [end] terminator. Every transport reduces
+   its input to this before dispatching on the header, so every transport
+   shares one parse path. *)
 type frame = { fheader : string; fbody : string list }
 
 let bad_request_header header =
@@ -591,11 +565,6 @@ let bad_request_header header =
     "bad request header %S (expected %S, %S, %S, %S, %S, %S or %S)" header
     request_header stats_header events_header health_header explain_header
     session_header profile_header
-
-let known_incoming_header header =
-  header = request_header || header = stats_header || header = events_header
-  || header = health_header || header = explain_header
-  || header = session_header || header = profile_header
 
 let incoming_of_frame { fheader = header; fbody = body } =
   if header = request_header then
@@ -608,40 +577,72 @@ let incoming_of_frame { fheader = header; fbody = body } =
   else if header = profile_header then parse_profile body
   else Result.Error (bad_request_header header)
 
-let read_incoming ic =
-  match read_header ic with
-  | None -> Ok None
-  | Some header when known_incoming_header header -> (
-      match read_body ic with
-      | Result.Error _ as e -> e
-      | Ok body -> (
-          match incoming_of_frame { fheader = header; fbody = body } with
-          | Ok incoming -> Ok (Some incoming)
-          | Result.Error _ as e -> e))
-  | Some header ->
-      drain_frame ic;
-      Result.Error (bad_request_header header)
+(* The one frame reader. A transport hands it trimmed lines — what
+   [input_line]+[String.trim] yields — through [next_line]: blank lines
+   between frames are skipped, the next line is the header, body lines
+   run up to a bare [end]. A frame still open when [next_line] runs dry
+   stays in the assembly, so a byte transport pulls again once more
+   bytes arrive and a channel transport reports it as truncated. A
+   frame with an unknown header is read to its [end] like any other, so
+   decoding resynchronizes on the next frame. *)
+type assembly = {
+  mutable header : string;  (* "" while no frame is open *)
+  mutable body : string list;  (* reversed *)
+}
+
+let rec assemble a next_line src =
+  match next_line src with
+  | None -> None
+  | Some line ->
+      if a.header = "" then begin
+        a.header <- line;
+        assemble a next_line src
+      end
+      else if line = "end" then begin
+        let frame = { fheader = a.header; fbody = List.rev a.body } in
+        a.header <- "";
+        a.body <- [];
+        Some frame
+      end
+      else begin
+        a.body <- line :: a.body;
+        assemble a next_line src
+      end
+
+let truncated_error = "truncated frame: missing \"end\" terminator"
+
+let input_line_opt ic =
+  try Some (String.trim (input_line ic)) with End_of_file -> None
+
+(* Blocking channels read one frame per call. [Ok None] is a clean end
+   of stream. *)
+let read_with decode ic =
+  let a = { header = ""; body = [] } in
+  match assemble a input_line_opt ic with
+  | Some frame -> Result.map Option.some (decode frame)
+  | None when a.header = "" -> Ok None
+  | None -> Result.Error truncated_error
+
+let read_incoming ic = read_with incoming_of_frame ic
 
 (* --- incremental parsing ------------------------------------------------- *)
 
 (* Readiness-driven transports (the mux event loop) own raw byte
    buffers, not channels: bytes arrive in arbitrary chunks, possibly
-   splitting a line — or the [payload] marker — anywhere. The
-   incremental parser accumulates bytes, re-assembles the same
-   trimmed-line stream [input_line]+[String.trim] would produce, and
-   yields whole frames for {!incoming_of_frame}/{!response_of_frame},
-   so decode and resync behavior are identical to the channel path by
-   construction. *)
+   splitting a line — or the [payload] marker — anywhere. The buffer cuts
+   complete lines out of the received bytes and feeds them to the same
+   {!assemble} the channel readers use, so decode and resync behavior are
+   identical to the channel path by construction. *)
 module Incremental = struct
   type t = {
     mutable data : Bytes.t;
     mutable len : int;  (* valid bytes in [data] *)
     mutable pos : int;  (* consumed prefix *)
-    (* open frame: header line + body lines so far (reversed) *)
-    mutable cur : (string * string list) option;
+    frames : assembly;
   }
 
-  let create () = { data = Bytes.create 4096; len = 0; pos = 0; cur = None }
+  let create () =
+    { data = Bytes.create 4096; len = 0; pos = 0; frames = { header = ""; body = [] } }
 
   let feed t s =
     let n = String.length s in
@@ -667,7 +668,7 @@ module Incremental = struct
      newline still delivers its tail bytes as one final line *)
   let finish t = if t.len > t.pos then feed t "\n"
 
-  let in_frame t = t.cur <> None
+  let in_frame t = t.frames.header <> ""
   let buffered t = t.len - t.pos
 
   let next_line t =
@@ -683,98 +684,11 @@ module Incremental = struct
         t.pos <- i + 1;
         Some (String.trim line)
 
-  let rec next_frame t =
-    match next_line t with
-    | None -> None
-    | Some line -> (
-        match t.cur with
-        | None ->
-            (* blank lines between frames are ignored, like read_header *)
-            if line = "" then next_frame t
-            else begin
-              t.cur <- Some (line, []);
-              next_frame t
-            end
-        | Some (header, lines) ->
-            if line = "end" then begin
-              t.cur <- None;
-              Some { fheader = header; fbody = List.rev lines }
-            end
-            else begin
-              t.cur <- Some (header, line :: lines);
-              next_frame t
-            end)
-
-  let truncated_error = "truncated frame: missing \"end\" terminator"
+  let next_frame t = assemble t.frames next_line t
+  let truncated_error = truncated_error
 end
 
-let read_request ic =
-  match read_incoming ic with
-  | Ok None -> Ok None
-  | Ok (Some (Solve req)) -> Ok (Some req)
-  | Ok (Some (Stats _)) ->
-      Result.Error
-        (Printf.sprintf "unexpected %S frame (expected %S)" stats_header
-           request_header)
-  | Ok (Some (Events _)) ->
-      Result.Error
-        (Printf.sprintf "unexpected %S frame (expected %S)" events_header
-           request_header)
-  | Ok (Some Health) ->
-      Result.Error
-        (Printf.sprintf "unexpected %S frame (expected %S)" health_header
-           request_header)
-  | Ok (Some (Explain _)) ->
-      Result.Error
-        (Printf.sprintf "unexpected %S frame (expected %S)" explain_header
-           request_header)
-  | Ok (Some (Session _)) ->
-      Result.Error
-        (Printf.sprintf "unexpected %S frame (expected %S)" session_header
-           request_header)
-  | Ok (Some (Profile _)) ->
-      Result.Error
-        (Printf.sprintf "unexpected %S frame (expected %S)" profile_header
-           request_header)
-  | Result.Error _ as e -> e
-
-let write_request oc (req : request) =
-  output_string oc request_header;
-  output_char oc '\n';
-  Option.iter (fun s -> Printf.fprintf oc "solver %s\n" s) req.solver;
-  Option.iter
-    (fun d -> Printf.fprintf oc "deadline_ms %s\n" (float_to_text d))
-    req.deadline_ms;
-  Option.iter
-    (fun tc -> Printf.fprintf oc "trace %s\n" (trace_to_text tc))
-    req.trace;
-  output_string oc "instance\n";
-  output_string oc (Core.Instance_io.to_string req.instance);
-  output_string oc "end\n";
-  flush oc
-
-let write_stats_request oc format =
-  output_string oc stats_header;
-  output_char oc '\n';
-  Printf.fprintf oc "format %s\n" (stats_format_to_string format);
-  output_string oc "end\n";
-  flush oc
-
-let write_events_request ?count ?level oc =
-  output_string oc events_header;
-  output_char oc '\n';
-  Option.iter (fun n -> Printf.fprintf oc "count %d\n" n) count;
-  Option.iter
-    (fun l -> Printf.fprintf oc "level %s\n" (Obs.Event.level_to_string l))
-    level;
-  output_string oc "end\n";
-  flush oc
-
-let write_health_request oc =
-  output_string oc health_header;
-  output_char oc '\n';
-  output_string oc "end\n";
-  flush oc
+(* --- request encoding ----------------------------------------------------- *)
 
 let profile_action_name = function
   | P_status -> "status"
@@ -782,69 +696,94 @@ let profile_action_name = function
   | P_stop -> "stop"
   | P_capture _ -> "capture"
 
-let write_profile_request oc (pr : profile_request) =
-  output_string oc profile_header;
-  output_char oc '\n';
-  Printf.fprintf oc "action %s\n" (profile_action_name pr.paction);
-  (match pr.paction with
-  | P_capture s -> Printf.fprintf oc "seconds %s\n" (float_to_text s)
-  | P_status | P_start | P_stop -> ());
-  Printf.fprintf oc "mode %s\n" (Obs.Profile.mode_to_string pr.pmode);
-  Option.iter (fun r -> Printf.fprintf oc "rate %s\n" (float_to_text r)) pr.prate;
-  Printf.fprintf oc "format %s\n" (Obs.Profile.format_to_string pr.pformat);
-  Option.iter (fun i -> Printf.fprintf oc "id %s\n" i) pr.pfilter;
-  output_string oc "end\n";
-  flush oc
-
-let write_explain_request oc id =
-  output_string oc explain_header;
-  output_char oc '\n';
-  Printf.fprintf oc "id %s\n" id;
-  output_string oc "end\n";
-  flush oc
-
 let bools_to_text e =
   String.concat "," (List.map (fun b -> if b then "1" else "0") (Array.to_list e))
 
 let floats_to_text p =
   String.concat "," (List.map float_to_text (Array.to_list p))
 
-let write_session_request oc (r : session_request) =
-  output_string oc session_header;
-  output_char oc '\n';
-  Printf.fprintf oc "op %s\n" (session_op_name r.op);
-  Printf.fprintf oc "id %s\n" r.sid;
-  Option.iter
-    (fun tc -> Printf.fprintf oc "trace %s\n" (trace_to_text tc))
-    r.trace;
-  (match r.op with
-  | S_create instance ->
-      output_string oc "instance\n";
-      output_string oc (Core.Instance_io.to_string instance)
-  | S_add_jobs jobs ->
-      List.iter
-        (fun (j : Core.Instance.new_job) ->
-          Printf.fprintf oc "job size=%s class=%d" (float_to_text j.nsize)
-            j.nclass;
-          Option.iter
-            (fun p -> Printf.fprintf oc " ptimes=%s" (floats_to_text p))
-            j.nptimes;
-          Option.iter
-            (fun e -> Printf.fprintf oc " eligible=%s" (bools_to_text e))
-            j.neligible;
-          output_char oc '\n')
-        jobs
-  | S_drop_jobs ids ->
-      output_string oc "jobs";
-      List.iter (fun i -> Printf.fprintf oc " %d" i) ids;
-      output_char oc '\n'
-  | S_resolve { deadline_ms } ->
-      Option.iter
-        (fun d -> Printf.fprintf oc "deadline_ms %s\n" (float_to_text d))
-        deadline_ms
-  | S_close -> ());
-  output_string oc "end\n";
+(* The inverse of {!incoming_of_frame}, written piece by piece to [emit]
+   so the channel writer needs no intermediate string; option-typed
+   fields are written only when set. *)
+let emit_incoming emit incoming =
+  let line s =
+    emit s;
+    emit "\n"
+  in
+  let field key value =
+    emit key;
+    emit " ";
+    line value
+  in
+  let opt key to_text = Option.iter (fun v -> field key (to_text v)) in
+  let instance i =
+    line "instance";
+    emit (Core.Instance_io.to_string i)
+  in
+  (match incoming with
+  | Solve req ->
+      line request_header;
+      opt "solver" Fun.id req.solver;
+      opt "deadline_ms" float_to_text req.deadline_ms;
+      opt "trace" trace_to_text req.trace;
+      instance req.instance
+  | Stats format ->
+      line stats_header;
+      field "format" (stats_format_to_string format)
+  | Events { count; min_level } ->
+      line events_header;
+      opt "count" string_of_int count;
+      field "level" (Obs.Event.level_to_string min_level)
+  | Health -> line health_header
+  | Explain id ->
+      line explain_header;
+      field "id" id
+  | Session r -> (
+      line session_header;
+      field "op" (session_op_name r.op);
+      field "id" r.sid;
+      opt "trace" trace_to_text r.trace;
+      match r.op with
+      | S_create i -> instance i
+      | S_add_jobs jobs ->
+          List.iter
+            (fun (j : Core.Instance.new_job) ->
+              field "job"
+                (Printf.sprintf "size=%s class=%d%s%s" (float_to_text j.nsize)
+                   j.nclass
+                   (Option.fold ~none:"" ~some:(fun p -> " ptimes=" ^ floats_to_text p)
+                      j.nptimes)
+                   (Option.fold ~none:""
+                      ~some:(fun e -> " eligible=" ^ bools_to_text e)
+                      j.neligible)))
+            jobs
+      | S_drop_jobs ids ->
+          line (String.concat " " ("jobs" :: List.map string_of_int ids))
+      | S_resolve { deadline_ms } -> opt "deadline_ms" float_to_text deadline_ms
+      | S_close -> ())
+  | Profile pr ->
+      line profile_header;
+      field "action" (profile_action_name pr.paction);
+      (match pr.paction with
+      | P_capture s -> field "seconds" (float_to_text s)
+      | P_status | P_start | P_stop -> ());
+      field "mode" (Obs.Profile.mode_to_string pr.pmode);
+      opt "rate" float_to_text pr.prate;
+      field "format" (Obs.Profile.format_to_string pr.pformat);
+      opt "id" Fun.id pr.pfilter);
+  line "end"
+
+let incoming_to_string incoming =
+  let buf = Buffer.create 256 in
+  emit_incoming (Buffer.add_string buf) incoming;
+  Buffer.contents buf
+
+let write_incoming oc incoming =
+  emit_incoming (output_string oc) incoming;
   flush oc
+
+let write_request oc req = write_incoming oc (Solve req)
+let write_session_request oc r = write_incoming oc (Session r)
 
 (* --- responses ---------------------------------------------------------- *)
 
@@ -1072,16 +1011,4 @@ let response_of_frame { fheader = header; fbody = body } =
     | Some v -> Result.Error (Printf.sprintf "unknown status %S" v)
     | None -> Result.Error "response missing status"
 
-let read_response ic =
-  match read_header ic with
-  | None -> Ok None
-  | Some header when header = response_header -> (
-      match read_body ic with
-      | Result.Error _ as e -> e
-      | Ok body -> (
-          match response_of_frame { fheader = header; fbody = body } with
-          | Ok response -> Ok (Some response)
-          | Result.Error _ as e -> e))
-  | Some header ->
-      drain_frame ic;
-      Result.Error (bad_response_header header)
+let read_response ic = read_with response_of_frame ic

@@ -214,7 +214,14 @@
 
     Blank lines between requests are ignored; [#] comments are allowed
     inside the instance block (they are part of the [Instance_io]
-    format). *)
+    format).
+
+    One frame reader serves every transport: the mux's byte buffer
+    ({!Incremental}) and the channel readers ({!read_incoming},
+    {!read_response}) all hand trimmed lines to the same frame
+    assembly, so framing, resync and truncation behave alike
+    everywhere. Each direction has one encoder, {!incoming_to_string}
+    and {!response_to_string}; the channel writers are thin wrappers. *)
 
 val version : int
 
@@ -343,9 +350,10 @@ val session_op_name : session_op -> string
 
 type frame = { fheader : string; fbody : string list }
 (** One assembled frame, transport-agnostic: the header line plus the
-    body lines up to (excluding) the [end] terminator. The channel
-    readers and {!Incremental} both reduce to this before dispatching on
-    the header, so every transport shares one parse path. *)
+    body lines up to (excluding) the [end] terminator. One frame reader
+    builds it from trimmed lines for every transport — {!Incremental}
+    from a byte buffer, {!read_incoming}/{!read_response} from a
+    channel — so decode and resync behave the same everywhere. *)
 
 val incoming_of_frame : frame -> (incoming, string) result
 (** Decode an assembled frame as a request/admin frame; [Error] on an
@@ -355,6 +363,10 @@ val response_of_frame : frame -> (response, string) result
 (** Decode an assembled frame as a response; [Error] on a header other
     than [response v1] or a malformed body. *)
 
+val incoming_to_string : incoming -> string
+(** Serialize a request/admin frame to its exact wire bytes; the inverse
+    of {!incoming_of_frame}. Optional fields are written only when set. *)
+
 val response_to_string : response -> string
 (** Serialize a response to its exact wire bytes (the bytes
     {!write_response} writes), for transports that own their output
@@ -362,10 +374,9 @@ val response_to_string : response -> string
 
 (** Incremental frame assembly for readiness-driven transports (the mux
     event loop): bytes arrive in arbitrary chunks, possibly splitting a
-    line — or the [payload] marker — anywhere. The parser accumulates
-    bytes and re-assembles the same trimmed-line stream
-    [input_line]+[String.trim] would produce, so decode and resync
-    behavior are identical to the channel path by construction. *)
+    line — or the [payload] marker — anywhere. The buffer cuts complete
+    lines out of the received bytes and hands them, trimmed, to the same
+    frame reader the channel functions use. *)
 module Incremental : sig
   type t
 
@@ -392,44 +403,27 @@ module Incremental : sig
   (** Bytes received but not yet consumed into frames. *)
 
   val truncated_error : string
-  (** The channel path's message for a frame cut before [end]. *)
+  (** The error for a frame cut before [end], on every transport. *)
 end
 
 val read_incoming : in_channel -> (incoming option, string) result
-(** Read one frame of either kind. [Ok None] is clean end-of-stream (no
-    frame started); [Error] is a malformed frame — the stream is
-    consumed up to the frame's [end] terminator (or EOF) so the session
-    can continue with the next frame. *)
+(** Read one request/admin frame. [Ok None] is clean end-of-stream (no
+    frame started); [Error] is a malformed or truncated frame — the
+    stream is consumed up to the frame's [end] terminator (or EOF) so
+    the session can continue with the next frame. *)
 
-val read_request : in_channel -> (request option, string) result
-(** {!read_incoming} restricted to solve requests; a stats frame is an
-    error. Semantics otherwise identical. *)
+val write_incoming : out_channel -> incoming -> unit
+(** Client side: write {!incoming_to_string}; flushes. *)
 
 val write_request : out_channel -> request -> unit
-(** Client side; flushes. *)
-
-val write_stats_request : out_channel -> stats_format -> unit
-(** Client side: emit a [stats v1] admin frame; flushes. *)
-
-val write_events_request :
-  ?count:int -> ?level:Obs.Event.level -> out_channel -> unit
-(** Client side: emit an [events v1] admin frame; flushes. *)
-
-val write_health_request : out_channel -> unit
-(** Client side: emit a [health v1] admin frame; flushes. *)
-
-val write_explain_request : out_channel -> string -> unit
-(** Client side: emit an [explain v1] admin frame asking for the phase
-    tree of one trace/request id; flushes. *)
+(** [write_incoming] of a solve frame; flushes. *)
 
 val write_session_request : out_channel -> session_request -> unit
-(** Client side: emit a [session v1] frame; flushes. *)
-
-val write_profile_request : out_channel -> profile_request -> unit
-(** Client side: emit a [profile v1] admin frame; flushes. *)
+(** [write_incoming] of a session frame; flushes. *)
 
 val write_response : out_channel -> response -> unit
 (** Server side; flushes. *)
 
 val read_response : in_channel -> (response option, string) result
-(** Client side; [Ok None] on clean end-of-stream. *)
+(** Client side; [Ok None] on clean end-of-stream. Same frame reader and
+    resync behavior as {!read_incoming}. *)

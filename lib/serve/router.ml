@@ -80,48 +80,6 @@ let shard_of_incoming t (incoming : Proto.incoming) =
   | Proto.Profile _ ->
       0
 
-let write_incoming oc (incoming : Proto.incoming) =
-  match incoming with
-  | Proto.Solve req -> Proto.write_request oc req
-  | Proto.Stats format -> Proto.write_stats_request oc format
-  | Proto.Events { count; min_level } ->
-      Proto.write_events_request ?count ~level:min_level oc
-  | Proto.Health -> Proto.write_health_request oc
-  | Proto.Explain id -> Proto.write_explain_request oc id
-  | Proto.Session sreq -> Proto.write_session_request oc sreq
-  | Proto.Profile pr -> Proto.write_profile_request oc pr
-
-type backend_conn = {
-  bfd : Unix.file_descr;
-  bic : in_channel;
-  boc : out_channel;
-}
-
-let connect_backend target =
-  match Scrape.resolve target with
-  | Error _ as e -> e
-  | Ok (domain, addr) -> (
-      match
-        let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-        (try
-           Unix.connect fd addr;
-           if domain = Unix.PF_INET then Unix.setsockopt fd Unix.TCP_NODELAY true
-         with e ->
-           Unix.close fd;
-           raise e);
-        fd
-      with
-      | exception Unix.Unix_error (err, _, _) ->
-          Error
-            (Printf.sprintf "backend %s: %s" target (Unix.error_message err))
-      | fd ->
-          Ok
-            {
-              bfd = fd;
-              bic = Unix.in_channel_of_descr fd;
-              boc = Unix.out_channel_of_descr fd;
-            })
-
 (* One client session: read frames, forward each to its shard over a
    lazily-opened per-client backend connection (so backend replies can
    never interleave across clients), relay the response verbatim. A
@@ -132,44 +90,28 @@ let handle_client t client =
   let oc = Unix.out_channel_of_descr client in
   let conns = Array.make (Array.length t.backends) None in
   let drop_backend i =
-    match conns.(i) with
-    | Some b ->
-        conns.(i) <- None;
-        (try Unix.close b.bfd with Unix.Unix_error _ -> ())
-    | None -> ()
+    Option.iter Scrape.close conns.(i);
+    conns.(i) <- None
   in
   let backend i =
     match conns.(i) with
-    | Some b -> Ok b
-    | None -> (
-        match connect_backend t.backends.(i) with
-        | Error _ as e -> e
-        | Ok b ->
-            conns.(i) <- Some b;
-            Ok b)
+    | Some c -> Ok c
+    | None ->
+        Result.map
+          (fun c ->
+            conns.(i) <- Some c;
+            c)
+          (Scrape.connect t.backends.(i))
   in
   let forward i incoming =
-    match backend i with
+    match Result.bind (backend i) (fun c -> Scrape.exchange c incoming) with
+    | Ok response ->
+        Obs.Labeled.incr t.fwd_cells.(i);
+        response
     | Error msg ->
+        drop_backend i;
         Obs.Counter.incr t.c_backend_errors;
-        Proto.Error msg
-    | Ok b -> (
-        match
-          write_incoming b.boc incoming;
-          Proto.read_response b.bic
-        with
-        | Ok (Some response) ->
-            Obs.Labeled.incr t.fwd_cells.(i);
-            response
-        | Ok None ->
-            drop_backend i;
-            Obs.Counter.incr t.c_backend_errors;
-            Proto.Error
-              (Printf.sprintf "backend %s closed the connection" t.backends.(i))
-        | Error msg | (exception Sys_error msg) ->
-            drop_backend i;
-            Obs.Counter.incr t.c_backend_errors;
-            Proto.Error (Printf.sprintf "backend %s: %s" t.backends.(i) msg))
+        Proto.Error (Printf.sprintf "backend %s: %s" t.backends.(i) msg)
   in
   let respond response =
     Proto.write_response oc response;
@@ -193,25 +135,11 @@ let handle_client t client =
     loop
 
 let bind_unix t ~path =
-  if Sys.file_exists path then Sys.remove path;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 128;
-  t.listen_fd <- Some fd;
+  t.listen_fd <- Some (Scrape.listen (Unix.ADDR_UNIX path));
   t.listen_path <- Some path
 
 let bind_tcp t ~host ~port =
-  let addr =
-    match Unix.getaddrinfo host (string_of_int port)
-            [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM; Unix.AI_FAMILY Unix.PF_INET ]
-    with
-    | { Unix.ai_addr; _ } :: _ -> ai_addr
-    | [] -> raise (Unix.Unix_error (Unix.EADDRNOTAVAIL, "getaddrinfo", host))
-  in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd addr;
-  Unix.listen fd 128;
+  let fd = Scrape.listen (Scrape.tcp_address ~host ~port) in
   t.listen_fd <- Some fd;
   Unix.getsockname fd
 

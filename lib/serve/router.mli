@@ -9,12 +9,17 @@
     have no affinity and go to shard 0 — scrape backends directly for
     their own metrics.
 
-    Each client connection is served by a pool task that opens its own
-    lazily-connected backend sockets (Unix paths or [HOST:PORT]), so
-    responses relay in request order and backends never interleave
-    replies across clients. A backend failure is answered with a
-    [status error] reply and that backend connection is dropped and
-    re-dialed on next use; the client session survives.
+    The router is a blocking proxy, unlike the {!Mux}-served backends:
+    each client connection is served by a pool task that opens its own
+    lazily-connected backend sockets (Unix paths or [HOST:PORT], through
+    {!Scrape.connect} and {!Scrape.exchange}), so responses relay in
+    request order and backends never interleave replies across
+    clients. A backend failure is answered with a
+    [status error] reply reading [backend <target>: <reason>], and that
+    backend connection is dropped and re-dialed on next use; the client
+    session survives. Serving clients on the mux instead would need
+    non-blocking backend connections: a blocking forward on the event
+    loop would stall every other client.
 
     Metrics (created per-{!create}): the labeled family
     [serve.router.forwarded{backend="<index>"}] and the
@@ -50,11 +55,12 @@ val shard_of_incoming : t -> Proto.incoming -> int
 (** The backend index a frame routes to (exposed for tests). *)
 
 val bind_unix : t -> path:string -> unit
-(** Bind the router's listener to a Unix-domain socket (replacing a
-    stale socket file; removed when {!run} returns). *)
+(** Bind the router's listener to a Unix-domain socket with
+    {!Scrape.listen} (replacing a stale socket file; removed when {!run}
+    returns). *)
 
 val bind_tcp : t -> host:string -> port:int -> Unix.sockaddr
-(** Bind the router's listener to a TCP address ([SO_REUSEADDR]);
+(** Bind the router's listener to a TCP address with {!Scrape.listen};
     returns the bound address (port 0 picks a free port). *)
 
 val run : t -> unit

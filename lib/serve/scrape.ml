@@ -1,46 +1,69 @@
-(* Client-side scraping of a live server socket, shared by `schedtool
-   top` and `schedtool metrics --watch`: admin-frame fetches plus the
-   pure text-wrangling both need — a Prometheus text parser (the repo
-   deliberately has no JSON parser dependency), snapshot diffing, and
-   histogram-delta quantiles for "latency over the last refresh". *)
+(* Socket addressing and the client side of the wire, shared by every
+   command that talks to a live server (`loadgen`, `metrics`, `events`,
+   `explain`, `top`, `profile`), by the shard router's backend links and
+   by every listener: the target grammar, listener binding, one
+   connect-and-exchange helper — plus the pure text wrangling scrapes
+   need: a Prometheus text parser (the repo deliberately has no JSON
+   parser dependency), snapshot diffing, and histogram-delta quantiles
+   for "latency over the last refresh". *)
 
 type conn = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
 (* A target is HOST:PORT (TCP) when it ends in a colon-separated port
    number, a Unix-domain socket path otherwise — so every client-side
-   command (`metrics --watch`, `top`, `profile`, `loadgen`) reaches TCP
-   servers through the same --socket-style argument. *)
+   command reaches TCP servers through the same --socket-style argument. *)
+let hostport target =
+  match String.rindex_opt target ':' with
+  | None -> None
+  | Some i -> (
+      let host = String.sub target 0 i in
+      let port = String.sub target (i + 1) (String.length target - i - 1) in
+      match int_of_string_opt port with
+      | Some p when p >= 0 && p < 65536 && host <> "" -> Some (host, p)
+      | Some _ | None -> None)
+
+let tcp_address ~host ~port =
+  match
+    Unix.getaddrinfo host (string_of_int port)
+      [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM; Unix.AI_FAMILY Unix.PF_INET ]
+  with
+  | { Unix.ai_addr; _ } :: _ -> ai_addr
+  | [] -> raise (Unix.Unix_error (Unix.EADDRNOTAVAIL, "getaddrinfo", host))
+
 let resolve target =
-  let tcp =
-    match String.rindex_opt target ':' with
-    | None -> None
-    | Some i -> (
-        let host = String.sub target 0 i in
-        let port = String.sub target (i + 1) (String.length target - i - 1) in
-        match int_of_string_opt port with
-        | Some p when p >= 0 && p < 65536 && host <> "" -> Some (host, p)
-        | Some _ | None -> None)
-  in
-  match tcp with
-  | None -> Ok (Unix.PF_UNIX, Unix.ADDR_UNIX target)
+  match hostport target with
+  | None -> Ok (Unix.ADDR_UNIX target)
   | Some (host, port) -> (
-      match
-        Unix.getaddrinfo host (string_of_int port)
-          [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM; Unix.AI_FAMILY Unix.PF_INET ]
-      with
-      | { Unix.ai_addr; _ } :: _ -> Ok (Unix.PF_INET, ai_addr)
-      | [] -> Error (Printf.sprintf "cannot resolve %s" target)
-      | exception Not_found -> Error (Printf.sprintf "cannot resolve %s" target))
+      match tcp_address ~host ~port with
+      | addr -> Ok addr
+      | exception (Unix.Unix_error _ | Not_found) ->
+          Error (Printf.sprintf "cannot resolve %s" target))
+
+let is_tcp = function Unix.ADDR_INET _ -> true | Unix.ADDR_UNIX _ -> false
+
+let listen addr =
+  (match addr with
+  | Unix.ADDR_UNIX path when Sys.file_exists path -> Sys.remove path
+  | Unix.ADDR_UNIX _ | Unix.ADDR_INET _ -> ());
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+  (try
+     if is_tcp addr then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+     Unix.bind fd addr;
+     Unix.listen fd 128
+   with e ->
+     Unix.close fd;
+     raise e);
+  fd
 
 let connect target =
   match resolve target with
   | Error _ as e -> e
-  | Ok (domain, addr) -> (
+  | Ok addr -> (
       match
-        let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+        let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
         (try
            Unix.connect fd addr;
-           if domain = Unix.PF_INET then Unix.setsockopt fd Unix.TCP_NODELAY true
+           if is_tcp addr then Unix.setsockopt fd Unix.TCP_NODELAY true
          with e ->
            Unix.close fd;
            raise e);
@@ -60,47 +83,36 @@ let connect target =
 
 let close conn = try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
-let fetch_stats conn =
-  Proto.write_stats_request conn.oc Proto.Prometheus;
-  match Proto.read_response conn.ic with
-  | Ok (Some (Proto.Stats_reply { body; _ })) -> Ok body
-  | Ok (Some (Proto.Error msg)) -> Error msg
-  | Ok _ -> Error "unexpected response to stats frame"
-  | Error msg -> Error msg
+let exchange conn incoming =
+  match
+    Proto.write_incoming conn.oc incoming;
+    Proto.read_response conn.ic
+  with
+  | Ok (Some response) -> Ok response
+  | Ok None -> Error "server closed the session"
+  | Error msg | (exception Sys_error msg) -> Error msg
 
-let fetch_health conn =
-  Proto.write_health_request conn.oc;
-  match Proto.read_response conn.ic with
-  | Ok (Some (Proto.Health_reply { body })) -> Ok body
-  | Ok (Some (Proto.Error msg)) -> Error msg
-  | Ok _ -> Error "unexpected response to health frame"
-  | Error msg -> Error msg
+let fetch conn incoming =
+  match exchange conn incoming with
+  | Error _ as e -> e
+  | Ok response -> (
+      match (incoming, response) with
+      | Proto.Stats _, Proto.Stats_reply { body; _ }
+      | Proto.Events _, Proto.Events_reply { body }
+      | Proto.Health, Proto.Health_reply { body }
+      | Proto.Explain _, Proto.Explain_reply { body }
+      | Proto.Profile _, Proto.Profile_reply { body } ->
+          Ok body
+      | _, Proto.Error msg -> Error msg
+      | _ -> Error "server answered the wrong frame kind")
 
-let fetch_events ?count ?level conn =
-  Proto.write_events_request ?count ?level conn.oc;
-  match Proto.read_response conn.ic with
-  | Ok (Some (Proto.Events_reply { body })) -> Ok body
-  | Ok (Some (Proto.Error msg)) -> Error msg
-  | Ok _ -> Error "unexpected response to events frame"
-  | Error msg -> Error msg
-
-let exchange_profile conn (pr : Proto.profile_request) =
-  Proto.write_profile_request conn.oc pr;
-  match Proto.read_response conn.ic with
-  | Ok (Some (Proto.Profile_reply { body })) -> Ok body
-  | Ok (Some (Proto.Error msg)) -> Error msg
-  | Ok _ -> Error "unexpected response to profile frame"
-  | Error msg -> Error msg
-
-let fetch_profile ?(seconds = 1.0) ?(mode = Obs.Profile.Cpu) ?rate conn =
-  exchange_profile conn
-    {
-      Proto.paction = Proto.P_capture seconds;
-      pmode = mode;
-      prate = rate;
-      pformat = Obs.Profile.Collapsed;
-      pfilter = None;
-    }
+let fetch_once target incoming =
+  match connect target with
+  | Error _ as e -> e
+  | Ok conn ->
+      let result = fetch conn incoming in
+      close conn;
+      result
 
 (* --- Prometheus text parsing --------------------------------------------- *)
 

@@ -1,49 +1,56 @@
-(** Client-side scraping of a live server socket.
+(** Socket addressing and the client side of the wire.
 
-    The admin-frame fetches plus the pure text-wrangling shared by
-    [schedtool top] and [schedtool metrics --watch]: a Prometheus text
-    parser (the project carries no JSON parser dependency), snapshot
-    diffing, histogram-delta quantiles, and the [health v1] payload's
+    One target grammar — a Unix-domain socket path, or [HOST:PORT] for
+    TCP — reaches every server: {!listen} binds the listeners of
+    {!Mux} and {!Router}, {!connect} + {!exchange} carry every client
+    round trip ([schedtool loadgen], [metrics], [events], [explain],
+    [top], [profile] and the router's backend links). The rest is the
+    pure text wrangling scrapes need: a Prometheus text parser (the
+    project carries no JSON parser dependency), snapshot diffing,
+    histogram-delta quantiles, and the [health v1] payload's
     line/[k=v] structure. *)
 
-type conn
+type conn = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
+(** One connected client socket and its buffered channels. *)
 
-val resolve : string -> (Unix.socket_domain * Unix.sockaddr, string) result
-(** Interpret a target string: [HOST:PORT] (with a numeric port and a
-    nonempty host) resolves to a TCP address, anything else is a
-    Unix-domain socket path. Shared with the shard router's backend
-    addressing. *)
+(** {1 Addresses and listeners} *)
+
+val hostport : string -> (string * int) option
+(** [Some (host, port)] when the target ends in [:PORT] (a number in
+    [0, 65535]) after a nonempty host; [None] means a Unix socket path. *)
+
+val tcp_address : host:string -> port:int -> Unix.sockaddr
+(** The IPv4 address of [host:port]. Raises [Unix.Unix_error] when the
+    host does not resolve. *)
+
+val listen : Unix.sockaddr -> Unix.file_descr
+(** Bind a listening stream socket (backlog 128). A Unix path replaces
+    a stale socket file; TCP gets [SO_REUSEADDR]. Raises
+    [Unix.Unix_error] when the address cannot be bound. *)
+
+(** {1 Round trips} *)
 
 val connect : string -> (conn, string) result
-(** Connect to a Unix-domain socket path or a TCP [HOST:PORT] target
-    (see {!resolve}; TCP connections get [TCP_NODELAY]). *)
+(** Connect to a target (TCP connections get [TCP_NODELAY]). The error
+    reads [cannot connect to <target>: <reason>] or [cannot resolve
+    <target>]. *)
 
 val close : conn -> unit
 
-val fetch_stats : conn -> (string, string) result
-(** One [stats v1] round-trip; the Prometheus exposition text. *)
+val exchange : conn -> Proto.incoming -> (Proto.response, string) result
+(** Write one frame and read its reply. A server's [status error] reply
+    is a reply ([Ok (Proto.Error _)]); [Error] means the transport
+    failed: the peer closed the stream, a write or read failed, or the
+    reply did not parse. *)
 
-val fetch_health : conn -> (string, string) result
-(** One [health v1] round-trip; the line-oriented health payload. *)
+val fetch : conn -> Proto.incoming -> (string, string) result
+(** {!exchange} an admin frame (stats, events, health, explain,
+    profile) and return its reply's payload. An error reply, or a reply
+    of another kind, is an [Error]. A profile capture blocks for its
+    window. *)
 
-val fetch_events :
-  ?count:int -> ?level:Obs.Event.level -> conn -> (string, string) result
-(** One [events v1] round-trip; flight-recorder events as JSON lines. *)
-
-val exchange_profile : conn -> Proto.profile_request -> (string, string) result
-(** One [profile v1] round-trip of any action; the reply payload
-    (collapsed stacks, JSON lines, or status lines — see
-    {!Proto.profile_action}). A capture blocks for its window. *)
-
-val fetch_profile :
-  ?seconds:float ->
-  ?mode:Obs.Profile.mode ->
-  ?rate:float ->
-  conn ->
-  (string, string) result
-(** One windowed capture (default 1 s, CPU engine): the collapsed-stack
-    payload. Blocks for the window; [Error] when an engine is already
-    running server-side. *)
+val fetch_once : string -> Proto.incoming -> (string, string) result
+(** {!connect}, {!fetch}, {!close}: one admin round trip to a target. *)
 
 (** {1 Prometheus text} *)
 

@@ -70,8 +70,7 @@ type t = {
   cache : cached Cache.t;
   sessions : Session.t;
   pool : Parallel.Pool.t;
-  stopping : bool Atomic.t;
-  mutable listen_fd : Unix.file_descr option;
+  stopping : bool Atomic.t;  (* stops the ticker *)
   (* dump rate bound: sessions run concurrently on the pool, so the
      last-dump stamp is mutex-guarded *)
   dump_mutex : Mutex.t;
@@ -228,7 +227,6 @@ let create config =
       sessions = Session.create config.session;
       pool = Parallel.Pool.create config.jobs;
       stopping = Atomic.make false;
-      listen_fd = None;
       dump_mutex = Mutex.create ();
       last_dump_us = neg_infinity;
       ticker = None;
@@ -574,8 +572,8 @@ let handle_profile (pr : Proto.profile_request) =
           Obs.Profile.stop ();
           Proto.Profile_reply { body })
 
-(* One incoming frame, one response — the dispatch shared by every
-   transport (blocking channels here, the mux event loop's parsed
+(* One incoming frame, one response — the dispatch shared by both
+   transports (stdio's channel loop here, the mux event loop's parsed
    frames). Solve and session frames carry their own heartbeats inside
    their request context; admin frames beat here. *)
 let handle_incoming ?pressure t (incoming : Proto.incoming) =
@@ -628,52 +626,8 @@ let serve_channels t ic oc =
 
 let run_stdio t = serve_channels t stdin stdout
 
-let handle_connection t client =
-  let ic = Unix.in_channel_of_descr client in
-  let oc = Unix.out_channel_of_descr client in
-  Fun.protect
-    ~finally:(fun () ->
-      (try flush oc with Sys_error _ -> ());
-      try Unix.close client with Unix.Unix_error _ -> ())
-    (fun () -> serve_channels t ic oc)
-
-let listen t ~path =
-  if Sys.file_exists path then Sys.remove path;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  t.listen_fd <- Some fd;
-  let rec accept_loop () =
-    if not (Atomic.get t.stopping) then
-      match Unix.accept fd with
-      | client, _ ->
-          Parallel.Pool.submit t.pool (fun () -> handle_connection t client);
-          accept_loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-      | exception
-          Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _)
-        ->
-          (* [stop] shut the listening socket down under us *)
-          ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      t.listen_fd <- None;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      try Sys.remove path with Sys_error _ -> ())
-    accept_loop
-
-let stop t =
-  Atomic.set t.stopping true;
-  match t.listen_fd with
-  | None -> ()
-  | Some fd -> (
-      (* shutdown (not close) wakes a blocked accept on every platform we
-         care about; listen's own cleanup closes the descriptor *)
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-
 let shutdown t =
-  stop t;
+  Atomic.set t.stopping true;
   (* the ticker re-checks [stopping] after each sleep, so joining waits
      at most one interval *)
   (match t.ticker with

@@ -1,12 +1,13 @@
-(** Long-lived scheduling service: session loop, cache wiring, transports.
+(** Long-lived scheduling service: session loop, cache wiring, dispatch.
 
     One server owns a canonicalizing result {!Cache} and a
-    {!Parallel.Pool}. A session is a {!Proto} request/response stream;
-    {!serve_channels} runs one session to end-of-stream and never lets a
-    malformed request kill it. Two transports: stdio (single session,
-    sequential — deterministic and cram-testable) and a Unix-domain
-    socket (one session per connection, handled concurrently on the
-    pool).
+    {!Parallel.Pool}; {!handle_incoming} answers one parsed frame of any
+    kind and is the core both transports share. {!serve_channels} runs
+    one sequential session over a pair of channels to end-of-stream and
+    never lets a malformed request kill it — that is [--stdio],
+    deterministic and cram-testable. Listening sockets (Unix-domain and
+    TCP) are served by {!Mux}, which parses frames on its event loop and
+    runs solver-bound ones on this server's pool.
 
     Per-request observability: a [serve.request] span brackets each
     request and carries a process-unique request id as the ambient
@@ -41,9 +42,9 @@
     (header [{"dump":"stuck-task",...}]), and — when
     [watchdog_interval_s] is set — spawns a ticker domain that runs the
     watchdog, samples the SLO rings and GC gauges, and refreshes the
-    [health.status] gauge every interval. Session loops mark their
-    domain [waiting] while parked in [read] so only genuinely wedged
-    tasks trip the watchdog. A [health v1] admin frame is answered with
+    [health.status] gauge every interval. The stdio loop and the mux
+    loop mark their domain [waiting] while parked in a read or [select]
+    so only genuinely wedged tasks trip the watchdog. A [health v1] admin frame is answered with
     the composite status, meters, burn rates and per-domain heartbeat
     ages; {!handle_request} passes [Obs.Health.status] to
     {!Dispatch.solve} as the [pressure] signal, so a non-[Ok] status
@@ -72,7 +73,9 @@ type config = {
   cache_capacity : int;  (** LRU entries kept (default 128) *)
   default_deadline_ms : float option;
       (** budget applied when a request names none (default: none) *)
-  jobs : int;  (** pool domains for concurrent socket sessions *)
+  jobs : int;
+      (** pool domains; {!Mux} runs up to [jobs - 1] solver-bound frames
+          at once next to its loop (with 1, on the loop itself) *)
   slow_ms : float option;
       (** latency threshold for a slow-request dump; [None] (default)
           disables the slow trigger (non-ok responses still dump when
@@ -124,7 +127,7 @@ val handle_request : ?pressure:bool -> t -> Proto.request -> Proto.response
 
 val handle_incoming : ?pressure:bool -> t -> Proto.incoming -> Proto.response
 (** Dispatch one parsed frame of any kind to its handler — the shared
-    core of every transport ({!serve_channels} and the mux event loop).
+    core of both transports ({!serve_channels} and the mux event loop).
     Admin frames stamp a health heartbeat here; solve/session frames
     carry their own inside their request context. [pressure] is handed
     to solve and session frames as in {!handle_request}: the mux passes
@@ -140,24 +143,15 @@ val pool : t -> Parallel.Pool.t
     themselves (the mux event loop). *)
 
 val serve_channels : t -> in_channel -> out_channel -> unit
-(** Run one session until end-of-stream: read requests, write exactly one
-    response each; protocol errors produce [status error] responses and
-    the session continues. *)
+(** Run one session until end-of-stream: read frames and answer each
+    before reading the next, so replies keep request order and every
+    frame sees the effects of the ones before it (the cache hit of a
+    repeated instance). Protocol errors produce [status error] responses
+    and the session continues. *)
 
 val run_stdio : t -> unit
 (** [serve_channels] over stdin/stdout. *)
 
-val listen : t -> path:string -> unit
-(** Bind a Unix-domain socket at [path] (replacing a stale socket file)
-    and accept connections until {!stop}; each connection's session runs
-    as a pool task. Removes the socket file on exit. Raises
-    [Unix.Unix_error] if the path cannot be bound. *)
-
-val stop : t -> unit
-(** Make {!listen} return: safe to call from a signal handler or another
-    domain. In-flight sessions keep running; callers then use
-    {!shutdown} to drain them. *)
-
 val shutdown : t -> unit
-(** {!stop}, wait for in-flight sessions to finish, and shut the pool
-    down. Idempotent. *)
+(** Stop the watchdog ticker, wait for in-flight pool tasks to finish,
+    and shut the pool down. Idempotent. Stop the transport first. *)

@@ -445,6 +445,29 @@ let test_histogram_quantile_bound () =
   Alcotest.(check (float 1e-3)) "overflow quantile reports exact max" 1e14
     (H.quantile s 1.0)
 
+let test_histogram_quantile_capped () =
+  (* a bucket's upper bound can exceed every observation in it; no
+     quantile may report more than the tracked maximum *)
+  let h = H.make "test.hist.capped" in
+  H.reset h;
+  H.observe h 1998.0;
+  let s = H.merged h in
+  List.iter
+    (fun q ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "q=%.2f of one observation" q)
+        1998.0 (H.quantile s q))
+    [ 0.5; 0.99; 1.0 ];
+  List.iter (H.observe h) [ 10.0; 11.0; 1500.0 ];
+  let s = H.merged h in
+  List.iter
+    (fun q ->
+      let e = H.quantile s q in
+      Alcotest.(check bool)
+        (Printf.sprintf "q=%.2f estimate %g <= max %g" q e s.H.max_value)
+        true (e <= s.H.max_value))
+    [ 0.25; 0.5; 0.75; 0.99; 1.0 ]
+
 let test_histogram_hammer () =
   (* 4 pool domains x 64 tasks x 500 observations: merged snapshot loses
      nothing even though every domain records into its own shard *)
@@ -974,6 +997,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_histogram_basics;
           Alcotest.test_case "quantile error bounded by ratio" `Quick
             test_histogram_quantile_bound;
+          Alcotest.test_case "quantile capped at max" `Quick
+            test_histogram_quantile_capped;
           Alcotest.test_case "4-domain hammer" `Quick test_histogram_hammer;
         ] );
       ("labeled", [ Alcotest.test_case "families" `Quick test_labeled ]);

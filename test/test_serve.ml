@@ -224,6 +224,8 @@ let roundtrip_via_file write read =
       let ic = open_in path in
       Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read ic))
 
+let write_all frames oc = List.iter (Serve.Proto.write_incoming oc) frames
+
 let test_proto_request_roundtrip () =
   let inst = Workloads.Gen.identical (rng 11) ~n:5 ~m:2 ~k:2 () in
   let req =
@@ -235,16 +237,20 @@ let test_proto_request_roundtrip () =
   in
   match
     roundtrip_via_file
-      (fun oc ->
-        Serve.Proto.write_request oc req;
-        Serve.Proto.write_request oc { req with solver = None; deadline_ms = None })
+      (write_all
+         [
+           Serve.Proto.Solve req;
+           Serve.Proto.Solve { req with solver = None; deadline_ms = None };
+         ])
       (fun ic ->
-        let a = Serve.Proto.read_request ic in
-        let b = Serve.Proto.read_request ic in
-        let c = Serve.Proto.read_request ic in
+        let a = Serve.Proto.read_incoming ic in
+        let b = Serve.Proto.read_incoming ic in
+        let c = Serve.Proto.read_incoming ic in
         (a, b, c))
   with
-  | Ok (Some a), Ok (Some b), Ok None ->
+  | ( Ok (Some (Serve.Proto.Solve a)),
+      Ok (Some (Serve.Proto.Solve b)),
+      Ok None ) ->
       Alcotest.(check (option string)) "solver" (Some "exact") a.Serve.Proto.solver;
       Alcotest.(check bool) "deadline" true (a.Serve.Proto.deadline_ms = Some 25.0);
       Alcotest.(check string) "instance roundtrips"
@@ -292,28 +298,31 @@ let test_proto_trace_roundtrip () =
      parent span, and replies echo the adopted id *)
   let inst = Workloads.Gen.identical (rng 31) ~n:4 ~m:2 ~k:2 () in
   let req tr =
-    {
-      Serve.Proto.solver = None;
-      deadline_ms = None;
-      instance = inst;
-      trace = tr;
-    }
+    Serve.Proto.Solve
+      {
+        Serve.Proto.solver = None;
+        deadline_ms = None;
+        instance = inst;
+        trace = tr;
+      }
   in
   (match
      roundtrip_via_file
-       (fun oc ->
-         Serve.Proto.write_request oc
-           (req (Some { Serve.Proto.tid = "lg7.3"; parent = Some 12 }));
-         Serve.Proto.write_request oc
-           (req (Some { Serve.Proto.tid = "cli-a"; parent = None }));
-         Serve.Proto.write_request oc (req None))
+       (write_all
+          [
+            req (Some { Serve.Proto.tid = "lg7.3"; parent = Some 12 });
+            req (Some { Serve.Proto.tid = "cli-a"; parent = None });
+            req None;
+          ])
        (fun ic ->
-         let a = Serve.Proto.read_request ic in
-         let b = Serve.Proto.read_request ic in
-         let c = Serve.Proto.read_request ic in
+         let a = Serve.Proto.read_incoming ic in
+         let b = Serve.Proto.read_incoming ic in
+         let c = Serve.Proto.read_incoming ic in
          (a, b, c))
    with
-  | Ok (Some a), Ok (Some b), Ok (Some c) ->
+  | ( Ok (Some (Serve.Proto.Solve a)),
+      Ok (Some (Serve.Proto.Solve b)),
+      Ok (Some (Serve.Proto.Solve c)) ) ->
       (match a.Serve.Proto.trace with
       | Some { Serve.Proto.tid = "lg7.3"; parent = Some 12 } -> ()
       | _ -> Alcotest.fail "trace with parent did not roundtrip");
@@ -347,13 +356,15 @@ let test_proto_trace_roundtrip () =
   (* session frames carry the trace too *)
   (match
      roundtrip_via_file
-       (fun oc ->
-         Serve.Proto.write_session_request oc
-           {
-             Serve.Proto.sid = "s1";
-             op = Serve.Proto.S_close;
-             trace = Some { Serve.Proto.tid = "lg7.3"; parent = Some 4 };
-           })
+       (write_all
+          [
+            Serve.Proto.Session
+              {
+                Serve.Proto.sid = "s1";
+                op = Serve.Proto.S_close;
+                trace = Some { Serve.Proto.tid = "lg7.3"; parent = Some 4 };
+              };
+          ])
        Serve.Proto.read_incoming
    with
   | Ok (Some (Serve.Proto.Session sreq)) -> (
@@ -371,7 +382,7 @@ let test_proto_trace_roundtrip () =
       match
         roundtrip_via_file
           (fun oc -> output_string oc text)
-          Serve.Proto.read_request
+          Serve.Proto.read_incoming
       with
       | Error msg ->
           Alcotest.(check bool)
@@ -385,7 +396,7 @@ let test_proto_explain_roundtrip () =
   match
     roundtrip_via_file
       (fun oc ->
-        Serve.Proto.write_explain_request oc "lg7.3";
+        Serve.Proto.write_incoming oc (Serve.Proto.Explain "lg7.3");
         Serve.Proto.write_response oc
           (Serve.Proto.Explain_reply
              { body = "trace id=lg7.3 spans=1\nphase depth=0 name=a\n" }))
@@ -419,17 +430,25 @@ let test_proto_malformed_resync () =
     roundtrip_via_file
       (fun oc -> output_string oc (text ^ good))
       (fun ic ->
-        let a = Serve.Proto.read_request ic in
-        let b = Serve.Proto.read_request ic in
-        let c = Serve.Proto.read_request ic in
+        let a = Serve.Proto.read_incoming ic in
+        let b = Serve.Proto.read_incoming ic in
+        let c = Serve.Proto.read_incoming ic in
         (a, b, c))
   with
-  | Error bad_header, Error bad_instance, Ok (Some _) ->
+  | Error bad_header, Error bad_instance, Ok (Some (Serve.Proto.Solve _)) ->
       Alcotest.(check bool) "names header" true
         (Astring.String.is_infix ~affix:"banana" bad_header);
       Alcotest.(check bool) "names keyword" true
         (Astring.String.is_infix ~affix:"keyword" bad_instance)
   | _ -> Alcotest.fail "expected error, error, ok"
+
+(* An admin or session frame must never decode as a solve request. *)
+let check_not_solve ~what frame =
+  match roundtrip_via_file (write_all [ frame ]) Serve.Proto.read_incoming with
+  | Ok (Some (Serve.Proto.Solve _)) ->
+      Alcotest.failf "a %s frame decoded as a solve request" what
+  | Ok (Some _) -> ()
+  | Ok None | Error _ -> Alcotest.failf "a %s frame did not decode" what
 
 let test_proto_stats_roundtrip () =
   (* stats frames both ways: the admin request parses via read_incoming,
@@ -437,9 +456,11 @@ let test_proto_stats_roundtrip () =
   let body = "# TYPE serve_requests counter\nserve_requests{status=\"ok\"} 41\n" in
   match
     roundtrip_via_file
-      (fun oc ->
-        Serve.Proto.write_stats_request oc Serve.Proto.Prometheus;
-        Serve.Proto.write_stats_request oc Serve.Proto.Json)
+      (write_all
+         [
+           Serve.Proto.Stats Serve.Proto.Prometheus;
+           Serve.Proto.Stats Serve.Proto.Json;
+         ])
       (fun ic ->
         let a = Serve.Proto.read_incoming ic in
         let b = Serve.Proto.read_incoming ic in
@@ -449,16 +470,7 @@ let test_proto_stats_roundtrip () =
   | ( Ok (Some (Serve.Proto.Stats Serve.Proto.Prometheus)),
       Ok (Some (Serve.Proto.Stats Serve.Proto.Json)),
       Ok None ) -> (
-      (* read_request must reject the admin frame rather than mis-parse *)
-      (match
-         roundtrip_via_file
-           (fun oc -> Serve.Proto.write_stats_request oc Serve.Proto.Prometheus)
-           Serve.Proto.read_request
-       with
-      | Error msg ->
-          Alcotest.(check bool) "read_request rejects stats" true
-            (Astring.String.is_infix ~affix:"stats" msg)
-      | Ok _ -> Alcotest.fail "read_request accepted a stats frame");
+      check_not_solve ~what:"stats" (Serve.Proto.Stats Serve.Proto.Prometheus);
       match
         roundtrip_via_file
           (fun oc ->
@@ -476,11 +488,16 @@ let test_proto_stats_roundtrip () =
 let test_proto_events_roundtrip () =
   (* events frames both ways: defaults and explicit count/level both
      parse, and an Events_reply carries its JSON-lines body intact *)
+  let default_events =
+    Serve.Proto.Events { count = None; min_level = Obs.Event.Debug }
+  in
   (match
      roundtrip_via_file
-       (fun oc ->
-         Serve.Proto.write_events_request oc;
-         Serve.Proto.write_events_request ~count:7 ~level:Obs.Event.Warn oc)
+       (write_all
+          [
+            default_events;
+            Serve.Proto.Events { count = Some 7; min_level = Obs.Event.Warn };
+          ])
        (fun ic ->
          let a = Serve.Proto.read_incoming ic in
          let b = Serve.Proto.read_incoming ic in
@@ -492,16 +509,16 @@ let test_proto_events_roundtrip () =
         (Some (Serve.Proto.Events { count = Some 7; min_level = Obs.Event.Warn })),
       Ok None ) -> ()
   | _ -> Alcotest.fail "events frames did not roundtrip");
-  (* read_request must reject the admin frame rather than mis-parse *)
+  (* a bare frame takes the defaults *)
   (match
      roundtrip_via_file
-       (fun oc -> Serve.Proto.write_events_request oc)
-       Serve.Proto.read_request
+       (fun oc -> output_string oc "events v1\nend\n")
+       Serve.Proto.read_incoming
    with
-  | Error msg ->
-      Alcotest.(check bool) "read_request rejects events" true
-        (Astring.String.is_infix ~affix:"events" msg)
-  | Ok _ -> Alcotest.fail "read_request accepted an events frame");
+  | Ok (Some (Serve.Proto.Events { count = None; min_level = Obs.Event.Debug }))
+    -> ()
+  | _ -> Alcotest.fail "a bare events frame did not take the defaults");
+  check_not_solve ~what:"events" default_events;
   let body =
     "{\"ts_us\":1.000,\"level\":\"info\",\"name\":\"a\",\"domain\":0}\n"
     ^ "{\"ts_us\":2.000,\"level\":\"warn\",\"name\":\"b\",\"domain\":1,\"req\":\"r9\"}\n"
@@ -518,11 +535,11 @@ let test_proto_events_roundtrip () =
 
 let test_proto_health_roundtrip () =
   (* health frames both ways: the admin request parses via read_incoming
-     (and is rejected by read_request), and a Health_reply carries its
+     (never as a solve request), and a Health_reply carries its
      multi-line payload intact *)
   (match
      roundtrip_via_file
-       (fun oc -> Serve.Proto.write_health_request oc)
+       (write_all [ Serve.Proto.Health ])
        (fun ic ->
          let a = Serve.Proto.read_incoming ic in
          let b = Serve.Proto.read_incoming ic in
@@ -530,15 +547,7 @@ let test_proto_health_roundtrip () =
    with
   | Ok (Some Serve.Proto.Health), Ok None -> ()
   | _ -> Alcotest.fail "health frame did not roundtrip");
-  (match
-     roundtrip_via_file
-       (fun oc -> Serve.Proto.write_health_request oc)
-       Serve.Proto.read_request
-   with
-  | Error msg ->
-      Alcotest.(check bool) "read_request rejects health" true
-        (Astring.String.is_infix ~affix:"health" msg)
-  | Ok _ -> Alcotest.fail "read_request accepted a health frame");
+  check_not_solve ~what:"health" Serve.Proto.Health;
   let body =
     "status ok\nliveness ok\ntask_budget_s 30\n"
     ^ "meter name=cache fill=0.125\n"
@@ -589,7 +598,7 @@ let test_proto_session_roundtrip () =
   in
   let got =
     roundtrip_via_file
-      (fun oc -> List.iter (Serve.Proto.write_session_request oc) frames)
+      (write_all (List.map (fun f -> Serve.Proto.Session f) frames))
       read_all
   in
   List.iter2
@@ -703,8 +712,8 @@ let test_proto_session_resync () =
       "session v1\nop create\nid s-1\nend\n";
     ]
   in
-  let good oc =
-    Serve.Proto.write_session_request oc
+  let good =
+    Serve.Proto.Session
       { Serve.Proto.sid = "s-2"; op = Serve.Proto.S_create inst; trace = None }
   in
   List.iter
@@ -713,7 +722,7 @@ let test_proto_session_resync () =
         roundtrip_via_file
           (fun oc ->
             output_string oc frame;
-            good oc)
+            write_all [ good ] oc)
           (fun ic ->
             let a = Serve.Proto.read_incoming ic in
             let b = Serve.Proto.read_incoming ic in
@@ -729,12 +738,7 @@ let test_proto_session_resync () =
             | Error msg -> "error: " ^ msg)
       | Ok _, _ -> Alcotest.failf "malformed frame accepted: %S" frame)
     bad;
-  (* read_request must reject a session frame rather than mis-parse it *)
-  match roundtrip_via_file good Serve.Proto.read_request with
-  | Error msg ->
-      Alcotest.(check bool) "read_request rejects session" true
-        (Astring.String.is_infix ~affix:"session" msg)
-  | Ok _ -> Alcotest.fail "read_request accepted a session frame"
+  check_not_solve ~what:"session" good
 
 (* --- Server ------------------------------------------------------------- *)
 
@@ -800,8 +804,12 @@ let test_server_stats_frame () =
       let oc = open_out inpath in
       Serve.Proto.write_request oc
         { Serve.Proto.solver = Some "greedy"; deadline_ms = None; instance = inst; trace = None };
-      Serve.Proto.write_stats_request oc Serve.Proto.Prometheus;
-      Serve.Proto.write_stats_request oc Serve.Proto.Json;
+      write_all
+        [
+          Serve.Proto.Stats Serve.Proto.Prometheus;
+          Serve.Proto.Stats Serve.Proto.Json;
+        ]
+        oc;
       close_out oc;
       let ic = open_in inpath in
       let oc = open_out outpath in
@@ -884,7 +892,8 @@ let test_server_events_frame () =
       let oc = open_out inpath in
       Serve.Proto.write_request oc
         { Serve.Proto.solver = Some "greedy"; deadline_ms = None; instance = inst; trace = None };
-      Serve.Proto.write_events_request oc;
+      Serve.Proto.write_incoming oc
+        (Serve.Proto.Events { count = None; min_level = Obs.Event.Debug });
       close_out oc;
       let ic = open_in inpath in
       let oc = open_out outpath in
@@ -939,7 +948,7 @@ let test_server_health_frame () =
       let oc = open_out inpath in
       Serve.Proto.write_request oc
         { Serve.Proto.solver = Some "greedy"; deadline_ms = None; instance = inst; trace = None };
-      Serve.Proto.write_health_request oc;
+      Serve.Proto.write_incoming oc Serve.Proto.Health;
       close_out oc;
       let ic = open_in inpath in
       let oc = open_out outpath in
@@ -1068,30 +1077,28 @@ let test_server_slow_dump () =
       | [] -> Alcotest.fail "slow request produced no dump")
 
 let test_server_socket_session () =
+  (* a Unix-socket session on the mux: pipelined frames answer in order,
+     the second through the cache the first filled, a malformed frame
+     gets an error reply, and the server closes once the client's side
+     is drained *)
   let server = mk_server () in
   let path =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "serve_test_%d.sock" (Unix.getpid ()))
   in
-  let acceptor = Domain.spawn (fun () -> Serve.Server.listen server ~path) in
+  let mux = Serve.Mux.create server in
+  Serve.Mux.add_unix mux ~path;
+  let runner = Domain.spawn (fun () -> Serve.Mux.run mux) in
   Fun.protect
     ~finally:(fun () ->
+      Serve.Mux.stop mux;
+      Domain.join runner;
       Serve.Server.shutdown server;
-      Domain.join acceptor;
       try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      (* wait for the acceptor to bind *)
-      let rec connect tries =
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        match Unix.connect fd (Unix.ADDR_UNIX path) with
-        | () -> fd
-        | exception Unix.Unix_error _ when tries > 0 ->
-            Unix.close fd;
-            Unix.sleepf 0.02;
-            connect (tries - 1)
-      in
-      let fd = connect 200 in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
       let ic = Unix.in_channel_of_descr fd in
       let oc = Unix.out_channel_of_descr fd in
       let inst = Workloads.Gen.identical (rng 14) ~n:6 ~m:2 ~k:2 () in
@@ -1205,8 +1212,9 @@ let test_server_explain_acceptance () =
           instance = inst;
           trace = Some { Serve.Proto.tid = "acc.1"; parent = None };
         };
-      Serve.Proto.write_explain_request oc "acc.1";
-      Serve.Proto.write_explain_request oc "no-such-id";
+      write_all
+        [ Serve.Proto.Explain "acc.1"; Serve.Proto.Explain "no-such-id" ]
+        oc;
       Serve.Proto.write_session_request oc
         {
           Serve.Proto.sid = "sess-t";
@@ -1316,8 +1324,12 @@ let test_server_events_filter () =
       Obs.Event.emit "test.filter.noise" [];
       Obs.Event.emit ~level:Obs.Event.Error "test.filter.err1" [];
       let oc = open_out inpath in
-      Serve.Proto.write_events_request ~level:Obs.Event.Warn oc;
-      Serve.Proto.write_events_request ~count:1 oc;
+      write_all
+        [
+          Serve.Proto.Events { count = None; min_level = Obs.Event.Warn };
+          Serve.Proto.Events { count = Some 1; min_level = Obs.Event.Debug };
+        ]
+        oc;
       close_out oc;
       let ic = open_in inpath in
       let oc = open_out outpath in
@@ -1739,6 +1751,146 @@ let test_incremental_truncation () =
     (Astring.String.is_infix ~affix:"end"
        Serve.Proto.Incremental.truncated_error)
 
+(* --- wire round-trip property ----------------------------------------------- *)
+
+(* Every frame kind, encoded by the one encoder of its direction, decodes
+   to the same value through the mux's byte path — split at a random
+   byte — and through the channel path. Only values the wire represents
+   exactly are drawn: ids from the id charset, payload lines without
+   surrounding blanks or a bare [end], and reply makespans already
+   rounded to the [%g] the wire prints. *)
+let wire_gens =
+  let open QCheck.Gen in
+  let chars s = oneofl (List.of_seq (String.to_seq s)) in
+  let id = string_size ~gen:(chars "abcXYZ0189._-") (int_range 1 12) in
+  let text = map String.trim (string_size ~gen:(chars "abc xyz{}\":=/;,.019_-") (int_range 0 24)) in
+  let body = map (fun ls -> String.concat "" (List.map (fun l -> l ^ "\n") ls)) (list_size (int_range 0 4) text) in
+  let finite = float_bound_inclusive 1e6 in
+  let budget = oneof [ finite; return infinity ] in
+  let trace = map2 (fun tid parent -> { Serve.Proto.tid; parent }) id (opt (int_range 0 99)) in
+  let instance = map2 (fun (_, g) seed -> g (rng seed)) (oneofl generators) (int_range 0 10_000) in
+  let nonempty g = array_size (int_range 1 4) g in
+  let job =
+    map4
+      (fun nsize nclass nptimes neligible -> { Core.Instance.nsize; nclass; nptimes; neligible })
+      finite (int_range 0 5) (opt (nonempty budget)) (opt (nonempty bool))
+  in
+  let session op = map2 (fun sid trace -> Serve.Proto.Session { sid; op; trace }) id (opt trace) in
+  let profile paction =
+    map4
+      (fun pmode prate pformat pfilter -> Serve.Proto.Profile { paction; pmode; prate; pformat; pfilter })
+      (oneofl [ Obs.Profile.Cpu; Obs.Profile.Alloc ])
+      (opt (float_range 0.001 1000.0))
+      (oneofl [ Obs.Profile.Collapsed; Obs.Profile.Json ])
+      (opt id)
+  in
+  (* one frame of every kind, every session op and every profile action *)
+  let incomings =
+    flatten_l
+      [
+        map4
+          (fun solver deadline_ms trace instance ->
+            Serve.Proto.Solve { solver; deadline_ms; trace; instance })
+          (opt (oneofl [ "auto"; "exact"; "greedy"; "portfolio" ]))
+          (opt budget) (opt trace) instance;
+        map (fun f -> Serve.Proto.Stats f) (oneofl [ Serve.Proto.Prometheus; Serve.Proto.Json ]);
+        map2
+          (fun count min_level -> Serve.Proto.Events { count; min_level })
+          (opt (int_range 1 1000))
+          (oneofl Obs.Event.[ Debug; Info; Warn; Error ]);
+        return Serve.Proto.Health;
+        map (fun i -> Serve.Proto.Explain i) id;
+        instance >>= (fun i -> session (Serve.Proto.S_create i));
+        list_size (int_range 1 3) job >>= (fun js -> session (Serve.Proto.S_add_jobs js));
+        list_size (int_range 1 3) (int_range 0 50) >>= (fun ids -> session (Serve.Proto.S_drop_jobs ids));
+        opt budget >>= (fun deadline_ms -> session (Serve.Proto.S_resolve { deadline_ms }));
+        session Serve.Proto.S_close;
+        profile Serve.Proto.P_status;
+        profile Serve.Proto.P_start;
+        profile Serve.Proto.P_stop;
+        float_range 0.01 600.0 >>= (fun s -> profile (Serve.Proto.P_capture s));
+      ]
+    >>= shuffle_l
+  in
+  let reply trace =
+    map4
+      (fun (solver, cache_hit, degraded) makespan elapsed_us assignment ->
+        {
+          Serve.Proto.solver;
+          cache_hit;
+          degraded;
+          makespan = float_of_string (Printf.sprintf "%g" makespan);
+          elapsed_us;
+          assignment;
+          trace;
+        })
+      (triple (oneofl [ "exact"; "greedy"; "portfolio:rounding"; "incremental-repair" ]) bool bool)
+      finite (int_range 0 1_000_000)
+      (array_size (int_range 0 12) (int_range 0 7))
+  in
+  let session_reply ~resolved =
+    opt id >>= fun trace ->
+    map4
+      (fun (sid, op) generation jobs solve ->
+        Serve.Proto.Session_reply
+          {
+            sid;
+            op;
+            generation;
+            jobs;
+            mode = Option.map fst solve;
+            solve = Option.map snd solve;
+            trace;
+          })
+      (pair id (oneofl [ "create"; "add-jobs"; "drop-jobs"; "resolve"; "close" ]))
+      (int_range 0 100) (int_range 0 500)
+      (if resolved then
+         (* the embedded reply rides on the session's own trace line *)
+         map2 (fun m r -> Some (m, r)) (oneofl [ "repair"; "fallback"; "full"; "cache" ]) (reply trace)
+       else return None)
+  in
+  let responses =
+    flatten_l
+      [
+        opt id >>= (fun t -> map (fun r -> Serve.Proto.Reply r) (reply t));
+        map2
+          (fun format body -> Serve.Proto.Stats_reply { format; body })
+          (oneofl [ Serve.Proto.Prometheus; Serve.Proto.Json ])
+          body;
+        map (fun body -> Serve.Proto.Events_reply { body }) body;
+        map (fun body -> Serve.Proto.Health_reply { body }) body;
+        map (fun body -> Serve.Proto.Explain_reply { body }) body;
+        session_reply ~resolved:false;
+        session_reply ~resolved:true;
+        map (fun body -> Serve.Proto.Profile_reply { body }) body;
+        map (fun msg -> Serve.Proto.Error msg) text;
+      ]
+    >>= shuffle_l
+  in
+  (incomings, responses)
+
+let prop_wire_roundtrip =
+  let incomings, responses = wire_gens in
+  let split = QCheck.Gen.float_bound_inclusive 1.0 in
+  QCheck.Test.make ~name:"round-trip every frame kind" ~count:150
+    (QCheck.make
+       ~print:(fun (ins, outs, _, _) ->
+         String.concat "" (List.map Serve.Proto.incoming_to_string ins)
+         ^ String.concat "" (List.map Serve.Proto.response_to_string outs))
+       QCheck.Gen.(quad incomings responses split split))
+    (fun (ins, outs, cut_in, cut_out) ->
+      let check encode of_frame channel frames cut =
+        let text = String.concat "" (List.map encode frames) in
+        let k = int_of_float (cut *. float_of_int (String.length text)) in
+        let chunks = [ String.sub text 0 k; String.sub text k (String.length text - k) ] in
+        let expect = List.map Result.ok frames in
+        incremental_decode of_frame chunks = expect && channel text = expect
+      in
+      check Serve.Proto.incoming_to_string Serve.Proto.incoming_of_frame
+        channel_incomings ins cut_in
+      && check Serve.Proto.response_to_string Serve.Proto.response_of_frame
+           channel_responses outs cut_out)
+
 (* --- generational prehash ------------------------------------------------- *)
 
 let test_server_prehash_rotation () =
@@ -1863,7 +2015,7 @@ let mux_connect port =
 
 let test_mux_tcp_pipeline () =
   (* pipelined frames on one TCP connection answer in order, through the
-     same cache as the blocking transport; a malformed frame gets an
+     same cache as the stdio loop; a malformed frame gets an
      error reply and the connection survives *)
   let server =
     Serve.Server.create
@@ -1897,7 +2049,7 @@ let test_mux_tcp_pipeline () =
       }
   done;
   output_string oc "banana v9\nend\n";
-  Serve.Proto.write_stats_request oc Serve.Proto.Prometheus;
+  Serve.Proto.write_incoming oc (Serve.Proto.Stats Serve.Proto.Prometheus);
   let replies =
     List.init 3 (fun _ ->
         match Serve.Proto.read_response ic with
@@ -1925,9 +2077,12 @@ let test_mux_tcp_pipeline () =
   | _ -> Alcotest.fail "expected a stats reply after the error"
 
 let test_mux_sheds_under_overload () =
-  (* one pool worker, a queue of 2: a pipelined burst of 7 identical
-     requests admits 1 (dispatched) + 2 (queued), sheds 4 with degraded
-     replies — and every frame still gets exactly one in-order answer *)
+  (* one pool worker, a queue of 2. The worker is parked before the
+     burst, so the loop admits and sheds all 7 pipelined frames before
+     any solve can finish: 1 admitted and dispatched, 2 admitted and
+     queued, 4 shed with degraded replies. Released, the worker solves
+     the first frame and the queued two hit the cache it filled. Every
+     frame gets exactly one in-order answer. *)
   let server =
     Serve.Server.create
       { Serve.Server.default_config with cache_capacity = 8; jobs = 2 }
@@ -1943,13 +2098,35 @@ let test_mux_sheds_under_overload () =
     | _ -> Alcotest.fail "expected a TCP address"
   in
   let runner = Domain.spawn (fun () -> Serve.Mux.run mux) in
+  let parked = Atomic.make false and release = Atomic.make false in
   Fun.protect
     ~finally:(fun () ->
+      Atomic.set release true;
       Serve.Mux.stop mux;
       Domain.join runner;
       Serve.Server.shutdown server)
   @@ fun () ->
-  (* big enough that the exact solve outlives the burst's arrival *)
+  Parallel.Pool.submit (Serve.Server.pool server) (fun () ->
+      Atomic.set parked true;
+      while not (Atomic.get release) do
+        Unix.sleepf 0.001
+      done);
+  let wait_until what cond =
+    let deadline = Unix.gettimeofday () +. 30.0 in
+    while not (cond ()) do
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "timed out waiting for %s" what;
+      Unix.sleepf 0.001
+    done
+  in
+  wait_until "the worker to park" (fun () -> Atomic.get parked);
+  let admission = Obs.Labeled.family "serve.mux.admission" ~label:"outcome" in
+  let outcome name = Obs.Labeled.value (Obs.Labeled.cell admission name) in
+  let outcomes = [ "admitted"; "shed_queue_full"; "shed_pressure"; "shed_deadline" ] in
+  let ledger () = List.fold_left (fun acc o -> acc + outcome o) 0 outcomes in
+  let before = List.map (fun o -> (o, outcome o)) outcomes in
+  let moved o = outcome o - List.assoc o before in
+  let ledger0 = ledger () in
   let inst = Workloads.Gen.uniform (rng 53) ~n:12 ~m:4 ~k:3 () in
   let fd, ic, oc = mux_connect port in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -1964,6 +2141,9 @@ let test_mux_sheds_under_overload () =
         trace = Some { Serve.Proto.tid = Printf.sprintf "ov.%d" i; parent = None };
       }
   done;
+  wait_until "the loop to admit or shed every frame" (fun () ->
+      ledger () - ledger0 >= n);
+  Atomic.set release true;
   let degraded = ref 0 and served = ref 0 in
   for i = 1 to n do
     match Serve.Proto.read_response ic with
@@ -1976,11 +2156,13 @@ let test_mux_sheds_under_overload () =
     | _ -> Alcotest.fail "expected a solve reply"
   done;
   Alcotest.(check int) "every frame answered" n (!degraded + !served);
-  (* the queue meter feeds the health lattice, which halves capacity as
-     the queue fills — so 2 or 3 frames are admitted (head-of-line plus
-     one or two queued), and at least 4 of the 7 are shed degraded *)
-  Alcotest.(check bool) "overload sheds degraded replies" true (!degraded >= 4);
-  Alcotest.(check bool) "admitted frames get full answers" true (!served >= 2)
+  Alcotest.(check int) "admitted: one dispatched, two queued" 3
+    (moved "admitted");
+  Alcotest.(check int) "shed: the queue was full" 4 (moved "shed_queue_full");
+  Alcotest.(check int) "no other shed" 0
+    (moved "shed_pressure" + moved "shed_deadline");
+  Alcotest.(check int) "overload sheds degraded replies" 4 !degraded;
+  Alcotest.(check int) "admitted frames get full answers" 3 !served
 
 let () =
   Alcotest.run "serve"
@@ -2044,6 +2226,7 @@ let () =
             test_incremental_every_split;
           Alcotest.test_case "incremental truncation" `Quick
             test_incremental_truncation;
+          QCheck_alcotest.to_alcotest prop_wire_roundtrip;
         ] );
       ( "server",
         [
