@@ -1,40 +1,22 @@
 type t = { name : string; cell : int Atomic.t }
 
-let registry : (string, t) Hashtbl.t = Hashtbl.create 64
-let registry_mutex = Mutex.create ()
+let registry : t Registry.t = Registry.create ()
 
 let make name =
-  Mutex.lock registry_mutex;
-  let t =
-    match Hashtbl.find_opt registry name with
-    | Some t -> t
-    | None ->
-        let t = { name; cell = Atomic.make 0 } in
-        Hashtbl.add registry name t;
-        t
-  in
-  Mutex.unlock registry_mutex;
-  t
+  Registry.find_or_create registry name (fun name ->
+      { name; cell = Atomic.make 0 })
 
 let name t = t.name
 let value t = Atomic.get t.cell
 let incr t = ignore (Atomic.fetch_and_add t.cell 1)
 let add t n = if n <> 0 then ignore (Atomic.fetch_and_add t.cell n)
 let reset t = Atomic.set t.cell 0
-
-let find name =
-  Mutex.lock registry_mutex;
-  let r = Hashtbl.find_opt registry name in
-  Mutex.unlock registry_mutex;
-  r
+let find name = Registry.find registry name
 
 let snapshot () =
-  Mutex.lock registry_mutex;
-  let entries =
-    Hashtbl.fold (fun name t acc -> (name, Atomic.get t.cell) :: acc) registry []
-  in
-  Mutex.unlock registry_mutex;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) entries
+  List.map
+    (fun (name, t) -> (name, Atomic.get t.cell))
+    (Registry.to_list registry)
 
 let delta ~before ~after =
   let moved =
@@ -54,8 +36,3 @@ let delta ~before ~after =
       before
   in
   List.sort (fun (a, _) (b, _) -> String.compare a b) (moved @ dropped)
-
-let reset_all () =
-  Mutex.lock registry_mutex;
-  Hashtbl.iter (fun _ t -> Atomic.set t.cell 0) registry;
-  Mutex.unlock registry_mutex

@@ -31,5 +31,3 @@ val delta : before:(string * int) list -> after:(string * int) list -> (string *
     counters absent from [before] count from zero, and counters present
     in [before] but missing from [after] (reset or re-registered between
     snapshots) are reported as negative deltas. Sorted by name. *)
-
-val reset_all : unit -> unit

@@ -1,12 +1,9 @@
 (* Flight recorder: leveled, structured events in per-domain ring
-   buffers. Unlike Sink's span buffers (off by default, unbounded, meant
-   for one traced run), the recorder is always on at bounded cost: each
-   domain owns a fixed-capacity ring that newer events overwrite, so a
-   long-lived server retains the recent past — enough to explain the
-   request that just went slow — without ever growing. Emission touches
-   only the calling domain's ring (a Domain.DLS slot registered in a
-   global list, the same pattern as Sink and Histogram shards), so the
-   hot path takes no lock. *)
+   buffers. The recorder is always on at bounded cost: each domain owns
+   a fixed-capacity Ring that newer events overwrite, so a long-lived
+   server retains the recent past — enough to explain the request that
+   just went slow — without ever growing. Emission touches only the
+   calling domain's ring, so the hot path takes no lock. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -55,62 +52,14 @@ let dummy =
     seq = -1;
   }
 
-type ring = { mutable slots : t array; mutable next : int }
-
-let capacity = Atomic.make default_capacity
-
-(* Rings of terminated domains stay registered so their events survive a
-   pool shutdown, mirroring Sink's buffer registry. *)
-let registry : ring list ref = ref []
-let registry_mutex = Mutex.create ()
-
-let ring_key =
-  Domain.DLS.new_key (fun () ->
-      let r = { slots = Array.make (Atomic.get capacity) dummy; next = 0 } in
-      Mutex.lock registry_mutex;
-      registry := r :: !registry;
-      Mutex.unlock registry_mutex;
-      r)
-
-let set_capacity n =
-  if n < 1 then invalid_arg "Event.set_capacity: capacity must be >= 1";
-  Atomic.set capacity n;
-  (* resize-and-clear every live ring; quiescent points only, like
-     Sink.clear *)
-  Mutex.lock registry_mutex;
-  List.iter
-    (fun r ->
-      r.slots <- Array.make n dummy;
-      r.next <- 0)
-    !registry;
-  Mutex.unlock registry_mutex
-
-let clear () =
-  Mutex.lock registry_mutex;
-  List.iter
-    (fun r ->
-      Array.fill r.slots 0 (Array.length r.slots) dummy;
-      r.next <- 0)
-    !registry;
-  Mutex.unlock registry_mutex
+let ring = Ring.create ~capacity:default_capacity dummy
+let set_capacity n = Ring.set_capacity ring n
+let clear () = Ring.clear ring
 
 (* --- JSON-lines rendering ------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let value_to_json = function
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Str s -> Printf.sprintf "\"%s\"" (Trace.escape s)
   | Int i -> string_of_int i
   | Float x ->
       (* JSON has no non-finite literals *)
@@ -121,16 +70,16 @@ let value_to_json = function
 let to_json_line e =
   let buf = Buffer.create 128 in
   Printf.bprintf buf "{\"ts_us\":%.3f,\"level\":\"%s\",\"name\":\"%s\",\"domain\":%d"
-    e.ts_us (level_to_string e.level) (json_escape e.name) e.domain;
+    e.ts_us (level_to_string e.level) (Trace.escape e.name) e.domain;
   (match e.ctx with
-  | Some ctx -> Printf.bprintf buf ",\"req\":\"%s\"" (json_escape ctx)
+  | Some ctx -> Printf.bprintf buf ",\"req\":\"%s\"" (Trace.escape ctx)
   | None -> ());
   if e.fields <> [] then begin
     Buffer.add_string buf ",\"fields\":{";
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        Printf.bprintf buf "\"%s\":%s" (json_escape k) (value_to_json v))
+        Printf.bprintf buf "\"%s\":%s" (Trace.escape k) (value_to_json v))
       e.fields;
     Buffer.add_char buf '}'
   end;
@@ -151,7 +100,7 @@ let set_json_sink oc =
 
 let emit ?(level = Info) name fields =
   if enabled level then begin
-    let r = Domain.DLS.get ring_key in
+    let b = Ring.mine ring in
     let e =
       {
         name;
@@ -160,12 +109,10 @@ let emit ?(level = Info) name fields =
         ts_us = Sink.now_us ();
         domain = (Domain.self () :> int);
         ctx = Sink.current_ctx ();
-        seq = r.next;
+        seq = Ring.pushed b;
       }
     in
-    let cap = Array.length r.slots in
-    r.slots.(r.next mod cap) <- e;
-    r.next <- r.next + 1;
+    Ring.push b e;
     if !sink <> None then begin
       Mutex.lock sink_mutex;
       (match !sink with
@@ -180,16 +127,8 @@ let emit ?(level = Info) name fields =
 
 (* --- reading -------------------------------------------------------------- *)
 
-let ring_events r =
-  let cap = Array.length r.slots in
-  let n = min r.next cap in
-  List.init n (fun i -> r.slots.((r.next - n + i) mod cap))
-
 let snapshot () =
-  Mutex.lock registry_mutex;
-  let rings = !registry in
-  Mutex.unlock registry_mutex;
-  List.concat_map ring_events rings
+  Ring.items ring
   |> List.stable_sort (fun a b ->
          match Float.compare a.ts_us b.ts_us with
          | 0 -> compare (a.domain, a.seq) (b.domain, b.seq)

@@ -1,11 +1,11 @@
 (** Flight recorder: leveled structured events in per-domain ring
     buffers.
 
-    Always on at bounded cost: each domain owns a fixed-capacity ring
-    that newer events overwrite, so a long-lived process retains the
-    recent past without growing. Emission is lock-free on the hot path
-    (the calling domain writes only its own ring); reads merge all
-    rings under a registry mutex. *)
+    Always on at bounded cost: each domain owns a fixed-capacity
+    {!Ring} that newer events overwrite, so a long-lived process retains
+    the recent past without growing. Emission is lock-free on the hot
+    path (the calling domain writes only its own ring); reads merge all
+    rings. *)
 
 type level = Debug | Info | Warn | Error
 

@@ -113,19 +113,6 @@ let prometheus () =
 
 (* --- JSON snapshot ------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* JSON has no inf/nan literals; histograms encode their overflow bucket
    bound and empty-max as strings via [float_text]. *)
 let json_float x =
@@ -149,7 +136,7 @@ let bench_records_json records =
   let record_json r =
     let counters =
       r.counters
-      |> List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v)
+      |> List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" (Trace.escape k) v)
       |> String.concat ", "
     in
     let percentiles =
@@ -159,7 +146,7 @@ let bench_records_json records =
           let fields =
             ps
             |> List.map (fun (k, v) ->
-                   Printf.sprintf "\"%s\": %.0f" (json_escape k) v)
+                   Printf.sprintf "\"%s\": %.0f" (Trace.escape k) v)
             |> String.concat ", "
           in
           Printf.sprintf ", \"percentiles\": {%s}" fields
@@ -173,8 +160,8 @@ let bench_records_json records =
           let fields =
             ids
             |> List.map (fun (k, v) ->
-                   Printf.sprintf "\"%s\": \"%s\"" (json_escape k)
-                     (json_escape v))
+                   Printf.sprintf "\"%s\": \"%s\"" (Trace.escape k)
+                     (Trace.escape v))
             |> String.concat ", "
           in
           Printf.sprintf ", \"trace_ids\": {%s}" fields
@@ -182,7 +169,7 @@ let bench_records_json records =
     Printf.sprintf
       "  {\"name\": \"%s\", \"iterations\": %d, \"wall_ns\": %.0f, \
        \"ns_per_iter\": %.0f%s%s, \"counters\": {%s}}"
-      (json_escape r.bname) r.iterations r.wall_ns
+      (Trace.escape r.bname) r.iterations r.wall_ns
       (r.wall_ns /. float_of_int (max 1 r.iterations))
       percentiles trace_ids counters
   in
@@ -194,7 +181,7 @@ let json () =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "\n    \"%s\": %d" (json_escape name) v)
+      Printf.bprintf buf "\n    \"%s\": %d" (Trace.escape name) v)
     (Counter.snapshot ());
   Buffer.add_string buf "\n  },\n  \"labeled\": [";
   List.iteri
@@ -202,16 +189,16 @@ let json () =
       if i > 0 then Buffer.add_char buf ',';
       Printf.bprintf buf
         "\n    {\"metric\": \"%s\", \"%s\": \"%s\", \"value\": %d}"
-        (json_escape s.Labeled.metric)
-        (json_escape s.Labeled.label)
-        (json_escape s.Labeled.label_value)
+        (Trace.escape s.Labeled.metric)
+        (Trace.escape s.Labeled.label)
+        (Trace.escape s.Labeled.label_value)
         s.Labeled.value)
     (Labeled.snapshot ());
   Buffer.add_string buf "\n  ],\n  \"gauges\": {";
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "\n    \"%s\": %s" (json_escape name) (json_float v))
+      Printf.bprintf buf "\n    \"%s\": %s" (Trace.escape name) (json_float v))
     (Gauge.snapshot ());
   Buffer.add_string buf "\n  },\n  \"histograms\": [";
   List.iteri
@@ -220,7 +207,7 @@ let json () =
       Printf.bprintf buf
         "\n    {\"name\": \"%s\", \"count\": %d, \"sum\": %s, \"max\": %s, \
          \"ratio\": %s"
-        (json_escape h.Histogram.sname)
+        (Trace.escape h.Histogram.sname)
         h.Histogram.count
         (json_float h.Histogram.sum)
         (json_float h.Histogram.max_value)
@@ -245,7 +232,7 @@ let json () =
                 Printf.sprintf
                   ", \"exemplar\": {\"trace_id\": \"%s\", \"value\": %s, \
                    \"ts_us\": %s}"
-                  (json_escape e.Histogram.e_trace)
+                  (Trace.escape e.Histogram.e_trace)
                   (json_float e.Histogram.e_value)
                   (json_float e.Histogram.e_ts_us)
             | None -> ""
@@ -263,7 +250,7 @@ let json () =
         "\n    {\"objective\": \"%s\", \"window\": \"%s\", \"target\": %s, \
          \"span_s\": %s, \"good\": %s, \"total\": %s, \"ratio\": %s, \
          \"burn\": %s}"
-        (json_escape r.Slo.rname) (json_escape r.Slo.window)
+        (Trace.escape r.Slo.rname) (Trace.escape r.Slo.window)
         (json_float r.Slo.rtarget) (json_float r.Slo.span_s)
         (json_float r.Slo.good) (json_float r.Slo.total)
         (json_float r.Slo.ratio) (json_float r.Slo.burn))

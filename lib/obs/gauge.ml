@@ -1,20 +1,10 @@
 type t = { name : string; cell : float option Atomic.t }
 
-let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-let registry_mutex = Mutex.create ()
+let registry : t Registry.t = Registry.create ()
 
 let make name =
-  Mutex.lock registry_mutex;
-  let t =
-    match Hashtbl.find_opt registry name with
-    | Some t -> t
-    | None ->
-        let t = { name; cell = Atomic.make None } in
-        Hashtbl.add registry name t;
-        t
-  in
-  Mutex.unlock registry_mutex;
-  t
+  Registry.find_or_create registry name (fun name ->
+      { name; cell = Atomic.make None })
 
 let name t = t.name
 let set t v = Atomic.set t.cell (Some v)
@@ -27,19 +17,6 @@ let rec set_max t v =
     if not (Atomic.compare_and_set t.cell cur (Some v)) then set_max t v
 
 let snapshot () =
-  Mutex.lock registry_mutex;
-  let entries =
-    Hashtbl.fold
-      (fun name t acc ->
-        match Atomic.get t.cell with
-        | Some v -> (name, v) :: acc
-        | None -> acc)
-      registry []
-  in
-  Mutex.unlock registry_mutex;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) entries
-
-let reset_all () =
-  Mutex.lock registry_mutex;
-  Hashtbl.iter (fun _ t -> Atomic.set t.cell None) registry;
-  Mutex.unlock registry_mutex
+  List.filter_map
+    (fun (name, t) -> Option.map (fun v -> (name, v)) (Atomic.get t.cell))
+    (Registry.to_list registry)

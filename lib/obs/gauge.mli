@@ -15,6 +15,3 @@ val set_max : t -> float -> unit
 
 val snapshot : unit -> (string * float) list
 (** All gauges that have been set at least once, sorted by name. *)
-
-val reset_all : unit -> unit
-(** Return every gauge to the unset state (dropped from [snapshot]). *)

@@ -1,11 +1,10 @@
 (* Liveness, readiness and saturation for a long-lived serving process.
 
-   Per-domain heartbeat slots mirror Histogram's shard registry: each
-   domain owns one mutable slot (a Domain.DLS key that registers itself
-   in a global list on first use), so stamping a beat is a few plain
-   writes and never takes a lock on the hot path. The watchdog and the
-   status computation read every slot under the registry mutex; reads
-   race benignly with writers (word-sized stores cannot tear).
+   Per-domain heartbeat slots live in a Ring.slot, like Histogram's
+   shards: each domain owns one mutable slot, so stamping a beat is a
+   few plain writes and never takes a lock on the hot path. The watchdog
+   and the status computation read every slot; reads race benignly with
+   writers (word-sized stores cannot tear).
 
    A slot tracks the innermost current unit of work: Parallel.Pool
    workers mark task begin/end, the serving layer marks itself Waiting
@@ -51,28 +50,19 @@ type slot = {
   mutable stuck_reported : bool;
 }
 
-let slots : slot list ref = ref []
-let slots_mutex = Mutex.create ()
+let slots =
+  Ring.slot (fun () ->
+      {
+        domain = (Domain.self () :> int);
+        state = Idle;
+        task = "";
+        ctx = None;
+        task_started_us = 0.0;
+        last_beat_us = Sink.now_us ();
+        stuck_reported = false;
+      })
 
-let slot_key =
-  Domain.DLS.new_key (fun () ->
-      let s =
-        {
-          domain = (Domain.self () :> int);
-          state = Idle;
-          task = "";
-          ctx = None;
-          task_started_us = 0.0;
-          last_beat_us = Sink.now_us ();
-          stuck_reported = false;
-        }
-      in
-      Mutex.lock slots_mutex;
-      slots := s :: !slots;
-      Mutex.unlock slots_mutex;
-      s)
-
-let my_slot () = Domain.DLS.get slot_key
+let my_slot () = Ring.get slots
 
 let emit_recovered s =
   Event.emit "health.task_recovered"
@@ -125,11 +115,8 @@ type heartbeat = {
 }
 
 let heartbeats () =
-  Mutex.lock slots_mutex;
-  let ss = !slots in
-  Mutex.unlock slots_mutex;
   let now = Sink.now_us () in
-  ss
+  Ring.all slots
   |> List.map (fun s ->
          {
            hdomain = s.domain;
@@ -175,9 +162,6 @@ let set_stuck_hook h = stuck_hook := h
 let scan_stuck ~report =
   let now = Sink.now_us () in
   let budget = float_of_int (Atomic.get budget_us) in
-  Mutex.lock slots_mutex;
-  let ss = !slots in
-  Mutex.unlock slots_mutex;
   List.filter_map
     (fun s ->
       if s.state <> Working || now -. s.last_beat_us <= budget then None
@@ -207,45 +191,31 @@ let scan_stuck ~report =
         end;
         Some st
       end)
-    ss
+    (Ring.all slots)
 
 let check () =
   Counter.incr c_checks;
   scan_stuck ~report:true
 
-(* --- saturation meters and probes ---------------------------------------- *)
+(* --- saturation meters ---------------------------------------------------- *)
 
 type meter = {
-  mname : string;
   fill : unit -> float;
   degraded_at : float;
   unhealthy_at : float;
 }
 
-let meter_registry : meter list ref = ref []
-let probe_registry : (string * (unit -> status)) list ref = ref []
-let registry_mutex = Mutex.create ()
+let meter_registry : meter Registry.t = Registry.create ()
 
 let register_meter ?(degraded_at = 0.8) ?(unhealthy_at = 1.5) name fill =
-  Mutex.lock registry_mutex;
-  meter_registry :=
-    { mname = name; fill; degraded_at; unhealthy_at }
-    :: List.filter (fun m -> m.mname <> name) !meter_registry;
-  Mutex.unlock registry_mutex
+  Registry.replace meter_registry name { fill; degraded_at; unhealthy_at }
 
-let register_probe name probe =
-  Mutex.lock registry_mutex;
-  probe_registry :=
-    (name, probe) :: List.remove_assoc name !probe_registry;
-  Mutex.unlock registry_mutex
+let read_fill m = try m.fill () with _ -> nan
 
 let meters () =
-  Mutex.lock registry_mutex;
-  let ms = !meter_registry in
-  Mutex.unlock registry_mutex;
-  ms
-  |> List.map (fun m -> (m.mname, try m.fill () with _ -> nan))
-  |> List.sort compare
+  List.map
+    (fun (name, m) -> (name, read_fill m))
+    (Registry.to_list meter_registry)
 
 (* --- composite status ---------------------------------------------------- *)
 
@@ -269,39 +239,30 @@ let liveness () =
     Ok
     (scan_stuck ~report:false)
 
-(* Readiness: liveness plus every saturation meter and registered probe.
-   This is the admission-control signal Serve.Dispatch consults. *)
+(* Readiness: liveness plus every saturation meter. This is the
+   admission-control signal Serve.Dispatch consults. Meters fold in name
+   order, so among equally severe meters the first by name gives the
+   reason. *)
 let status () =
   let meter_status =
-    Mutex.lock registry_mutex;
-    let ms = !meter_registry in
-    Mutex.unlock registry_mutex;
     List.fold_left
-      (fun acc m ->
-        let fill = try m.fill () with _ -> nan in
+      (fun acc (name, m) ->
+        let fill = read_fill m in
         let s =
           if Float.is_nan fill then Ok
           else if fill >= m.unhealthy_at then
-            Unhealthy (Printf.sprintf "%s saturated (%.0f%%)" m.mname (100. *. fill))
+            Unhealthy
+              (Printf.sprintf "%s saturated (%.0f%%)" name (100. *. fill))
           else if fill >= m.degraded_at then
             Degraded
-              (Printf.sprintf "%s near capacity (%.0f%%)" m.mname (100. *. fill))
+              (Printf.sprintf "%s near capacity (%.0f%%)" name (100. *. fill))
           else Ok
         in
         worst acc s)
-      Ok ms
+      Ok
+      (Registry.to_list meter_registry)
   in
-  let probe_status =
-    Mutex.lock registry_mutex;
-    let ps = !probe_registry in
-    Mutex.unlock registry_mutex;
-    List.fold_left
-      (fun acc (name, probe) ->
-        let s = try probe () with _ -> Degraded (name ^ " probe failed") in
-        worst acc s)
-      Ok ps
-  in
-  let s = worst (liveness ()) (worst meter_status probe_status) in
+  let s = worst (liveness ()) meter_status in
   Gauge.set g_status (float_of_int (severity s));
   s
 
@@ -345,15 +306,9 @@ let render_lines () =
 (* --- test support -------------------------------------------------------- *)
 
 let reset () =
-  Mutex.lock registry_mutex;
-  meter_registry := [];
-  probe_registry := [];
-  Mutex.unlock registry_mutex;
+  Registry.clear meter_registry;
   stuck_hook := None;
   Atomic.set budget_us (int_of_float (default_task_budget_s *. 1e6));
-  Mutex.lock slots_mutex;
-  let ss = !slots in
-  Mutex.unlock slots_mutex;
   let now = Sink.now_us () in
   List.iter
     (fun s ->
@@ -362,4 +317,4 @@ let reset () =
       s.ctx <- None;
       s.stuck_reported <- false;
       s.last_beat_us <- now)
-    ss
+    (Ring.all slots)

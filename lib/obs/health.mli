@@ -1,10 +1,11 @@
 (** Liveness, readiness and saturation signals for a serving process.
 
-    Each domain owns a heartbeat slot; workers mark the unit of work
-    they are executing and a watchdog flags slots whose heartbeat is
-    older than a configurable task budget. Composite status folds the
-    stuck-task evidence together with registered saturation meters and
-    custom probes into the lattice [Ok < Degraded < Unhealthy]. *)
+    Each domain owns a heartbeat slot (a {!Ring.slot}); workers mark the
+    unit of work they are executing and a watchdog flags slots whose
+    heartbeat is older than a configurable task budget. Composite status
+    folds the stuck-task evidence together with the saturation meters
+    (held in a {!Registry}) into the lattice
+    [Ok < Degraded < Unhealthy]. *)
 
 type status = Ok | Degraded of string | Unhealthy of string
 
@@ -73,7 +74,7 @@ val check : unit -> stuck list
     [health.stuck_task] event (and firing the hook) per incident.
     Increments the [health.checks] counter. *)
 
-(** {1 Saturation meters and probes} *)
+(** {1 Saturation meters} *)
 
 val register_meter :
   ?degraded_at:float -> ?unhealthy_at:float -> string -> (unit -> float) -> unit
@@ -81,9 +82,6 @@ val register_meter :
     a fill-factor in [0, inf) where crossing [degraded_at] (default 0.8)
     degrades readiness and [unhealthy_at] (default 1.5) makes the
     process unhealthy. Use infinite thresholds for display-only meters. *)
-
-val register_probe : string -> (unit -> status) -> unit
-(** Register (replacing by name) a custom readiness probe. *)
 
 val meters : unit -> (string * float) list
 (** Current fill factor of every registered meter, sorted by name. *)
@@ -95,13 +93,14 @@ val liveness : unit -> status
     [Unhealthy] when it is an order of magnitude past it. *)
 
 val status : unit -> status
-(** Readiness: the worst of {!liveness}, every meter and every probe.
-    Updates the [health.status] gauge (0=ok, 1=degraded, 2=unhealthy). *)
+(** Readiness: the worst of {!liveness} and every meter; among equally
+    severe meters the first by name gives the reason. Updates the
+    [health.status] gauge (0=ok, 1=degraded, 2=unhealthy). *)
 
 val render_lines : unit -> string list
 (** Line-based health snapshot (status, meters, heartbeats) used as the
     [health v1] frame payload; repeated lines carry [k=v] tokens. *)
 
 val reset : unit -> unit
-(** Test support: clear meters, probes and the stuck hook, restore the
-    default budget, and force every slot back to idle. *)
+(** Test support: clear meters and the stuck hook, restore the default
+    budget, and force every slot back to idle. *)

@@ -2,11 +2,9 @@
 
    Bucket i >= 1 covers (ratio^(i-1), ratio^i]; bucket 0 holds values
    <= 1 and the last bucket overflows to +inf. Recording touches only
-   the calling domain's shard (a Domain.DLS slot), so the hot path is a
-   few array writes and never contends with other domains; [merged]
-   folds every shard at read time. Shards of terminated domains stay
-   registered so their observations survive a pool shutdown, mirroring
-   Sink's buffer registry. *)
+   the calling domain's shard (a Ring.slot), so the hot path is a few
+   array writes and never contends with other domains; [merged] folds
+   every shard at read time. *)
 
 let default_ratio = 1.25
 
@@ -34,9 +32,7 @@ type t = {
   ratio : float;
   log_ratio : float;
   nbuckets : int;  (* includes bucket 0 and the overflow bucket *)
-  shards : shard list ref;
-  shards_mutex : Mutex.t;
-  key : shard Domain.DLS.key;
+  shards : shard Ring.slot;
 }
 
 type snapshot = {
@@ -49,8 +45,7 @@ type snapshot = {
   exemplars : (float * exemplar) list;
 }
 
-let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-let registry_mutex = Mutex.create ()
+let registry : t Registry.t = Registry.create ()
 
 let nbuckets_for ratio =
   (* bucket 0, enough log buckets to reach max_tracked, one overflow *)
@@ -58,37 +53,18 @@ let nbuckets_for ratio =
 
 let make ?(ratio = default_ratio) name =
   if ratio <= 1.0 then invalid_arg "Histogram.make: ratio must be > 1";
-  Mutex.lock registry_mutex;
-  let t =
-    match Hashtbl.find_opt registry name with
-    | Some t -> t
-    | None ->
-        let nbuckets = nbuckets_for ratio in
-        let shards = ref [] in
-        let shards_mutex = Mutex.create () in
-        let key =
-          Domain.DLS.new_key (fun () ->
-              let s =
-                {
-                  counts = Array.make nbuckets 0;
-                  sum = 0.0;
-                  max_value = neg_infinity;
-                  exemplars = Array.make nbuckets None;
-                }
-              in
-              Mutex.lock shards_mutex;
-              shards := s :: !shards;
-              Mutex.unlock shards_mutex;
-              s)
-        in
-        let t =
-          { name; ratio; log_ratio = log ratio; nbuckets; shards; shards_mutex; key }
-        in
-        Hashtbl.add registry name t;
-        t
-  in
-  Mutex.unlock registry_mutex;
-  t
+  Registry.find_or_create registry name (fun name ->
+      let nbuckets = nbuckets_for ratio in
+      let shards =
+        Ring.slot (fun () ->
+            {
+              counts = Array.make nbuckets 0;
+              sum = 0.0;
+              max_value = neg_infinity;
+              exemplars = Array.make nbuckets None;
+            })
+      in
+      { name; ratio; log_ratio = log ratio; nbuckets; shards })
 
 let name t = t.name
 let ratio t = t.ratio
@@ -107,7 +83,7 @@ let upper_bound t i =
   else t.ratio ** float_of_int i
 
 let observe t v =
-  let s = Domain.DLS.get t.key in
+  let s = Ring.get t.shards in
   let i = bucket_index t v in
   s.counts.(i) <- s.counts.(i) + 1;
   s.sum <- s.sum +. v;
@@ -119,9 +95,6 @@ let observe t v =
         Some { e_trace = trace; e_value = v; e_ts_us = Sink.now_us () })
 
 let merged t =
-  Mutex.lock t.shards_mutex;
-  let shards = !(t.shards) in
-  Mutex.unlock t.shards_mutex;
   let counts = Array.make t.nbuckets 0 in
   let exemplars = Array.make t.nbuckets None in
   let sum = ref 0.0 and max_value = ref neg_infinity in
@@ -138,7 +111,7 @@ let merged t =
         s.exemplars;
       sum := !sum +. s.sum;
       if s.max_value > !max_value then max_value := s.max_value)
-    shards;
+    (Ring.all t.shards);
   let count = Array.fold_left ( + ) 0 counts in
   let buckets = ref [] and exlist = ref [] in
   for i = t.nbuckets - 1 downto 0 do
@@ -157,22 +130,14 @@ let merged t =
     exemplars = !exlist;
   }
 
-let find name =
-  Mutex.lock registry_mutex;
-  let r = Hashtbl.find_opt registry name in
-  Mutex.unlock registry_mutex;
-  r
+let find name = Registry.find registry name
 
 let snapshot ?(include_empty = false) () =
-  Mutex.lock registry_mutex;
-  let ts = Hashtbl.fold (fun _ t acc -> t :: acc) registry [] in
-  Mutex.unlock registry_mutex;
   List.filter_map
-    (fun t ->
+    (fun (_, t) ->
       let s = merged t in
       if s.count = 0 && not include_empty then None else Some s)
-    ts
-  |> List.sort (fun a b -> String.compare a.sname b.sname)
+    (Registry.to_list registry)
 
 let quantile s q =
   if s.count = 0 then invalid_arg "Histogram.quantile: empty histogram";
@@ -192,18 +157,10 @@ let quantile s q =
   go 0 s.buckets
 
 let reset t =
-  Mutex.lock t.shards_mutex;
   List.iter
     (fun s ->
       Array.fill s.counts 0 t.nbuckets 0;
       Array.fill s.exemplars 0 t.nbuckets None;
       s.sum <- 0.0;
       s.max_value <- neg_infinity)
-    !(t.shards);
-  Mutex.unlock t.shards_mutex
-
-let reset_all () =
-  Mutex.lock registry_mutex;
-  let ts = Hashtbl.fold (fun _ t acc -> t :: acc) registry [] in
-  Mutex.unlock registry_mutex;
-  List.iter reset ts
+    (Ring.all t.shards)

@@ -11,7 +11,7 @@
     the bucket ratio.
 
     Recording is contention-free across {!Parallel.Pool} worker domains:
-    each domain owns a private shard (a [Domain.DLS] slot holding one
+    each domain owns a private shard (a {!Ring.slot} holding one
     bucket-count array), and {!observe} touches only that shard.
     {!merged} folds every shard at read time; shards of terminated
     domains stay registered, so their observations survive a pool
@@ -84,6 +84,3 @@ val find : string -> t option
 val reset : t -> unit
 (** Zero every shard of one histogram. Do not call while other domains
     are recording into it. *)
-
-val reset_all : unit -> unit
-(** {!reset} every registered histogram (tests). *)

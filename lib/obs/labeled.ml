@@ -3,14 +3,8 @@
    interned like Counter's, so instrumented layers resolve their cell
    once at module init and the hot path is a single atomic add. *)
 
-type cell = { metric : string; label_value : string; v : int Atomic.t }
-
-type family = {
-  fname : string;
-  label : string;
-  cells : (string, cell) Hashtbl.t;
-  mutex : Mutex.t;
-}
+type cell = int Atomic.t
+type family = { fname : string; label : string; cells : cell Registry.t }
 
 type sample = {
   metric : string;
@@ -19,82 +13,41 @@ type sample = {
   value : int;
 }
 
-let registry : (string, family) Hashtbl.t = Hashtbl.create 16
-let registry_mutex = Mutex.create ()
+let registry : family Registry.t = Registry.create ()
 
 let family name ~label =
-  Mutex.lock registry_mutex;
   let f =
-    match Hashtbl.find_opt registry name with
-    | Some f ->
-        if f.label <> label then begin
-          Mutex.unlock registry_mutex;
-          invalid_arg
-            (Printf.sprintf
-               "Labeled.family: %S already registered with label %S (asked for %S)"
-               name f.label label)
-        end;
-        f
-    | None ->
-        let f =
-          { fname = name; label; cells = Hashtbl.create 8; mutex = Mutex.create () }
-        in
-        Hashtbl.add registry name f;
-        f
+    Registry.find_or_create registry name (fun fname ->
+        { fname; label; cells = Registry.create () })
   in
-  Mutex.unlock registry_mutex;
+  if f.label <> label then
+    invalid_arg
+      (Printf.sprintf
+         "Labeled.family: %S already registered with label %S (asked for %S)"
+         name f.label label);
   f
 
 let name (f : family) = f.fname
 let label (f : family) = f.label
+(* a closed function, so resolving an existing cell allocates nothing *)
+let new_cell _ = Atomic.make 0
+let cell f label_value = Registry.find_or_create f.cells label_value new_cell
+let incr c = ignore (Atomic.fetch_and_add c 1)
+let add c n = if n <> 0 then ignore (Atomic.fetch_and_add c n)
+let value c = Atomic.get c
 
-let cell f label_value =
-  Mutex.lock f.mutex;
-  let c =
-    match Hashtbl.find_opt f.cells label_value with
-    | Some c -> c
-    | None ->
-        let c = { metric = f.fname; label_value; v = Atomic.make 0 } in
-        Hashtbl.add f.cells label_value c;
-        c
-  in
-  Mutex.unlock f.mutex;
-  c
-
-let incr c = ignore (Atomic.fetch_and_add c.v 1)
-let add c n = if n <> 0 then ignore (Atomic.fetch_and_add c.v n)
-let value c = Atomic.get c.v
-
+(* families and cells both list sorted by name, so the concatenation is
+   sorted by metric, then label value *)
 let snapshot () =
-  Mutex.lock registry_mutex;
-  let families = Hashtbl.fold (fun _ f acc -> f :: acc) registry [] in
-  Mutex.unlock registry_mutex;
   List.concat_map
-    (fun f ->
-      Mutex.lock f.mutex;
-      let cells = Hashtbl.fold (fun _ c acc -> c :: acc) f.cells [] in
-      Mutex.unlock f.mutex;
+    (fun (_, f) ->
       List.map
-        (fun (c : cell) ->
+        (fun (label_value, c) ->
           {
             metric = f.fname;
             label = f.label;
-            label_value = c.label_value;
-            value = Atomic.get c.v;
+            label_value;
+            value = Atomic.get c;
           })
-        cells)
-    families
-  |> List.sort (fun a b ->
-         match String.compare a.metric b.metric with
-         | 0 -> String.compare a.label_value b.label_value
-         | n -> n)
-
-let reset_all () =
-  Mutex.lock registry_mutex;
-  Hashtbl.iter
-    (fun _ f ->
-      Mutex.lock f.mutex;
-      Hashtbl.iter (fun _ c -> Atomic.set c.v 0) f.cells;
-      Mutex.unlock f.mutex)
-    registry;
-  Mutex.unlock registry_mutex
+        (Registry.to_list f.cells))
+    (Registry.to_list registry)

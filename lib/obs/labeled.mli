@@ -40,5 +40,3 @@ val snapshot : unit -> sample list
 (** Every cell of every family, sorted by metric name then label
     value. Cells are included even at zero, so a family registered with
     its expected label values always exposes a complete series. *)
-
-val reset_all : unit -> unit

@@ -46,14 +46,14 @@ let with_alloc f =
    Error instead of raising, so callers degrade gracefully. *)
 
 let sampler_mutex = Mutex.create ()
-let sampler_owner_ref = ref None
+let sampler_holder = ref None
 
 let word_bytes = float_of_int (Sys.word_size / 8)
 
 let start_sampler ~owner ~sampling_rate ~callback =
   Mutex.lock sampler_mutex;
   let result =
-    match !sampler_owner_ref with
+    match !sampler_holder with
     | Some holder ->
         Error (Printf.sprintf "Gc.Memprof already claimed by %s" holder)
     | None -> (
@@ -75,7 +75,7 @@ let start_sampler ~owner ~sampling_rate ~callback =
             }
         with
         | _profile ->
-            sampler_owner_ref := Some owner;
+            sampler_holder := Some owner;
             Ok ()
         | exception Failure msg -> Error ("Gc.Memprof unavailable: " ^ msg))
   in
@@ -84,15 +84,9 @@ let start_sampler ~owner ~sampling_rate ~callback =
 
 let stop_sampler () =
   Mutex.lock sampler_mutex;
-  (match !sampler_owner_ref with
+  (match !sampler_holder with
   | None -> ()
   | Some _ ->
       (try Gc.Memprof.stop () with Failure _ -> ());
-      sampler_owner_ref := None);
+      sampler_holder := None);
   Mutex.unlock sampler_mutex
-
-let sampler_owner () =
-  Mutex.lock sampler_mutex;
-  let o = !sampler_owner_ref in
-  Mutex.unlock sampler_mutex;
-  o

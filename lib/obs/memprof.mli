@@ -15,8 +15,8 @@ val major_collections : Gauge.t
 
 val sample : unit -> unit
 (** Refresh every [gc.*] gauge from [Gc.quick_stat] (cheap: no heap
-    walk). Called on span boundaries by [Span.with_alloc] and before
-    each exposition render. *)
+    walk). Called per served request and before each exposition
+    render. *)
 
 val allocated_bytes : unit -> float
 (** Bytes allocated by the calling domain since it started (monotonic;
@@ -49,6 +49,3 @@ val start_sampler :
 
 val stop_sampler : unit -> unit
 (** Stop the active sampler and release the slot. No-op when idle. *)
-
-val sampler_owner : unit -> string option
-(** Name passed by the current holder, if any. *)

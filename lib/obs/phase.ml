@@ -1,12 +1,12 @@
 (* Phase attribution: completed spans as records in bounded per-domain
-   rings. Unlike Sink's buffers (off by default, unbounded, one traced
-   run) the phase recorder is always on at bounded cost, like Event's
-   flight recorder: each domain owns a fixed-capacity ring that newer
-   records overwrite, so a long-lived server can answer "where did that
-   request spend its time" for the recent past without ever growing.
-   A record is written once, when its span closes (Span.phase), so the
-   hot path is two clock reads plus one ring slot write and never takes
-   a lock. *)
+   rings. The phase recorder is the only span recorder: always on at
+   bounded cost, like Event's flight recorder, each domain owns a
+   fixed-capacity Ring that newer records overwrite, so a long-lived
+   server can answer "where did that request spend its time" for the
+   recent past without ever growing, and a Chrome trace (Trace) renders
+   what the rings retain. A record is written once, when its span
+   closes (Span.phase), so the hot path is two clock reads plus one
+   ring slot write and never takes a lock. *)
 
 type record = {
   name : string;
@@ -37,46 +37,13 @@ let dummy =
     seq = -1;
   }
 
-type ring = { mutable slots : record array; mutable next : int }
-
-let capacity = Atomic.make default_capacity
-
-(* Rings of terminated domains stay registered so their records survive
-   a pool shutdown, mirroring Sink and Event. *)
-let registry : ring list ref = ref []
-let registry_mutex = Mutex.create ()
-
-let ring_key =
-  Domain.DLS.new_key (fun () ->
-      let r = { slots = Array.make (Atomic.get capacity) dummy; next = 0 } in
-      Mutex.lock registry_mutex;
-      registry := r :: !registry;
-      Mutex.unlock registry_mutex;
-      r)
-
-let set_capacity n =
-  if n < 1 then invalid_arg "Phase.set_capacity: capacity must be >= 1";
-  Atomic.set capacity n;
-  Mutex.lock registry_mutex;
-  List.iter
-    (fun r ->
-      r.slots <- Array.make n dummy;
-      r.next <- 0)
-    !registry;
-  Mutex.unlock registry_mutex
-
-let clear () =
-  Mutex.lock registry_mutex;
-  List.iter
-    (fun r ->
-      Array.fill r.slots 0 (Array.length r.slots) dummy;
-      r.next <- 0)
-    !registry;
-  Mutex.unlock registry_mutex
+let ring = Ring.create ~capacity:default_capacity dummy
+let set_capacity n = Ring.set_capacity ring n
+let clear () = Ring.clear ring
 
 let push ~name ~detail ~id ~parent ~start_us ~dur_us ~alloc_bytes () =
-  let r = Domain.DLS.get ring_key in
-  let rec_ =
+  let b = Ring.mine ring in
+  Ring.push b
     {
       name;
       detail;
@@ -87,23 +54,11 @@ let push ~name ~detail ~id ~parent ~start_us ~dur_us ~alloc_bytes () =
       dur_us;
       alloc_bytes;
       domain = (Domain.self () :> int);
-      seq = r.next;
+      seq = Ring.pushed b;
     }
-  in
-  let cap = Array.length r.slots in
-  r.slots.(r.next mod cap) <- rec_;
-  r.next <- r.next + 1
-
-let ring_records r =
-  let cap = Array.length r.slots in
-  let n = min r.next cap in
-  List.init n (fun i -> r.slots.((r.next - n + i) mod cap))
 
 let snapshot () =
-  Mutex.lock registry_mutex;
-  let rings = !registry in
-  Mutex.unlock registry_mutex;
-  List.concat_map ring_records rings
+  Ring.items ring
   |> List.stable_sort (fun a b ->
          match Float.compare a.start_us b.start_us with
          (* ids are allocated when a span opens, from one monotone

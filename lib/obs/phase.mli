@@ -1,11 +1,11 @@
 (** Phase attribution: completed spans in bounded per-domain rings.
 
-    The phase recorder is the always-on counterpart of {!Sink}'s traced
-    spans, built like {!Event}'s flight recorder: each domain owns a
-    fixed-capacity ring of completed-span records that newer records
-    overwrite, so a long-lived server retains the phase trees of recent
-    requests — enough to answer an [explain v1] frame — at bounded cost
-    and without a lock on the hot path. Records are written by
+    The phase recorder is the one span recorder, built like {!Event}'s
+    flight recorder: each domain owns a fixed-capacity {!Ring} of
+    completed-span records that newer records overwrite, so a long-lived
+    server retains the phase trees of recent requests — enough to answer
+    an [explain v1] frame or write a Chrome trace ({!Trace}) — at bounded
+    cost and without a lock on the hot path. Records are written by
     [Span.phase] when a span closes and carry real span ids plus parent
     links, so one request's records reassemble into a tree. *)
 

@@ -9,14 +9,12 @@
             allocation site's callstack with an unbiased byte estimate
             as the weight.
 
-   Samples land in per-domain ring buffers registered in a lock-free
-   list (the [Event] idiom, minus the mutex: the SIGPROF handler may
-   run on a domain whose ring is not yet initialised, and a DLS
-   initialiser that took a lock could deadlock against a reader holding
-   it — registration is a CAS push instead). Merging happens at read
-   time in [samples]/[aggregate]; the handler only ever touches its own
-   domain's ring, a few atomics, and DLS refs, all async-signal-safe at
-   the OCaml level because handlers run at safepoints.
+   Samples land in a per-domain Ring, whose lock-free registration lets
+   the SIGPROF handler initialise a domain's ring. Merging happens at
+   read time in [samples]/[aggregate]; the handler only ever touches its
+   own domain's ring, a few atomics, and DLS refs, all
+   async-signal-safe at the OCaml level because handlers run at
+   safepoints.
 
    Overhead guard: when the health gauge reports Unhealthy (severity
    >= 2, see [Health]), samples are dropped at the door and counted in
@@ -53,40 +51,13 @@ type sample = {
   ctx : string option;
 }
 
-type ring = { mutable slots : sample array; mutable next : int }
-
 let default_capacity = 8192
-let capacity = Atomic.make default_capacity
-let empty_bt = Printexc.get_callstack 0
-let dummy = { bt = empty_bt; weight = 0.0; ctx = None }
 
-(* Lock-free ring registry: rings are only ever added (a domain's ring
-   outlives the domain so late reads still see its samples). *)
-let registry : ring list Atomic.t = Atomic.make []
+let ring =
+  Ring.create ~capacity:default_capacity
+    { bt = Printexc.get_callstack 0; weight = 0.0; ctx = None }
 
-let rec register r =
-  let old = Atomic.get registry in
-  if not (Atomic.compare_and_set registry old (r :: old)) then register r
-
-let ring_key : ring Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let r = { slots = Array.make (Atomic.get capacity) dummy; next = 0 } in
-      register r;
-      r)
-
-let set_capacity n =
-  if n < 1 then invalid_arg "Profile.set_capacity";
-  Atomic.set capacity n;
-  (* resize-and-clear, as in [Event.set_capacity]: only sound at
-     quiescent points (startup flags, tests) *)
-  List.iter
-    (fun r ->
-      r.slots <- Array.make n dummy;
-      r.next <- 0)
-    (Atomic.get registry)
-
-let clear () =
-  List.iter (fun r -> r.next <- 0) (Atomic.get registry)
+let clear () = Ring.clear ring
 
 (* --- counters and pause guard -------------------------------------- *)
 
@@ -104,14 +75,12 @@ let paused () = Gauge.value g_health >= 2.0
 let record ?bt weight =
   if paused () then Counter.incr c_dropped
   else begin
-    let r = Domain.DLS.get ring_key in
-    let cap = Array.length r.slots in
-    if r.next >= cap then Counter.incr c_overruns;
+    let r = Ring.mine ring in
+    if Ring.pushed r >= Ring.capacity ring then Counter.incr c_overruns;
     let bt =
       match bt with Some b -> b | None -> Printexc.get_callstack max_depth
     in
-    r.slots.(r.next mod cap) <- { bt; weight; ctx = Sink.current_ctx () };
-    r.next <- r.next + 1;
+    Ring.push r { bt; weight; ctx = Sink.current_ctx () };
     Counter.incr c_samples
   end
 
@@ -222,12 +191,6 @@ type stat = {
 
 let stat () =
   let e = locked (fun () -> !current) in
-  let rings = Atomic.get registry in
-  let retained =
-    List.fold_left
-      (fun acc r -> acc + min r.next (Array.length r.slots))
-      0 rings
-  in
   {
     s_mode = Option.map (fun e -> e.e_mode) e;
     s_rate = (match e with Some e -> e.e_rate | None -> 0.0);
@@ -235,8 +198,8 @@ let stat () =
     s_samples = Counter.value c_samples;
     s_dropped = Counter.value c_dropped;
     s_overruns = Counter.value c_overruns;
-    s_retained = retained;
-    s_rings = List.length rings;
+    s_retained = List.length (Ring.items ring);
+    s_rings = Ring.rings ring;
   }
 
 let status_lines () =
@@ -296,20 +259,12 @@ let stack_of_backtrace bt =
         List.init kept (fun i -> frame_name slots.(n - 1 - i))
 
 let samples ?ctx () =
-  let rings = Atomic.get registry in
-  List.concat_map
-    (fun r ->
-      let cap = Array.length r.slots in
-      let next = r.next in
-      let n = min next cap in
-      List.filter_map
-        (fun i ->
-          let s = r.slots.((next - n + i) mod cap) in
-          match ctx with
-          | Some want when s.ctx <> Some want -> None
-          | _ -> Some (stack_of_backtrace s.bt, s.weight))
-        (List.init n Fun.id))
-    rings
+  List.filter_map
+    (fun s ->
+      match ctx with
+      | Some want when s.ctx <> Some want -> None
+      | _ -> Some (stack_of_backtrace s.bt, s.weight))
+    (Ring.items ring)
 
 (* Pure fold from weighted stacks to collapsed lines, sorted by stack
    string — the order samples arrive in (ring order, domain order)
@@ -330,20 +285,6 @@ let collapse stacks =
 
 let aggregate ?ctx () = collapse (samples ?ctx ())
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render ?ctx fmt =
   let collapsed = aggregate ?ctx () in
   let buf = Buffer.create 4096 in
@@ -357,6 +298,6 @@ let render ?ctx fmt =
         (fun (stack, w) ->
           Buffer.add_string buf
             (Printf.sprintf "{\"stack\": \"%s\", \"weight\": %.0f}\n"
-               (json_escape stack) w))
+               (Trace.escape stack) w))
         collapsed);
   Buffer.contents buf

@@ -1,6 +1,6 @@
 (** Continuous sampling profiler: CPU and allocation engines feeding
-    per-domain sample rings, aggregated into collapsed-stack form
-    ([a;b;c weight]) with ambient request/trace-id attribution from
+    per-domain sample rings (one {!Ring}), aggregated into collapsed-stack
+    form ([a;b;c weight]) with ambient request/trace-id attribution from
     [Sink].
 
     The CPU engine arms [ITIMER_PROF]; every 1/hz seconds of process
@@ -35,11 +35,6 @@ val default_alloc_rate : float
 
 val default_capacity : int
 (** Sample slots per domain ring (8192). *)
-
-val set_capacity : int -> unit
-(** Resize every ring and drop retained samples. Not concurrency-safe:
-    call at quiescent points (startup flags, tests). Raises
-    [Invalid_argument] when the capacity is < 1. *)
 
 val clear : unit -> unit
 (** Drop retained samples in every ring (counters are unaffected). *)

@@ -44,7 +44,7 @@ let filtered_table ?(include_zero = false) keep =
               (if s.count = 1 then "" else "s")
               s.total_s;
           ])
-    (Span.summarize (Sink.events ()));
+    (Span.summarize (Phase.snapshot ()));
   table
 
 let to_table () = filtered_table (fun _ -> true)
@@ -62,5 +62,3 @@ let delta_table ~before =
       Stats.Table.add_row table [ name; Printf.sprintf "%+d" d ])
     (Counter.delta ~before ~after:(Counter.snapshot ()));
   table
-
-let print () = Stats.Table.print (to_table ())

@@ -3,8 +3,8 @@
 val to_table : unit -> Stats.Table.t
 (** Snapshot of every nonzero counter, every labeled-counter cell, every
     set gauge, every nonempty histogram (count, p50/p90/p99, max) and
-    per-name span aggregates (count and total seconds), as a
-    three-column [kind | metric | value] table. *)
+    per-name aggregates of the retained {!Phase} records (count and
+    total seconds), as a three-column [kind | metric | value] table. *)
 
 val prefix_table : prefix:string -> Stats.Table.t
 (** {!to_table} restricted to metrics whose name starts with [prefix]
@@ -17,6 +17,3 @@ val delta_table : before:(string * int) list -> Stats.Table.t
 (** Counters that moved since the [before] snapshot (from
     {!Counter.snapshot}), as a [counter | delta] table. The experiment
     runner prints this as its per-experiment metrics footer. *)
-
-val print : unit -> unit
-(** [to_table] to stdout. *)

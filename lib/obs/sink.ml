@@ -1,26 +1,13 @@
-type phase = Begin | End | Instant
-
-type event = {
-  name : string;
-  phase : phase;
-  ts_us : float;
-  domain : int;
-  ctx : string option;
-  alloc_bytes : float option;
-  span : int option;
-  parent : int option;
-}
-
 let on = Atomic.make false
 let enabled () = Atomic.get on
 let enable () = Atomic.set on true
 let disable () = Atomic.set on false
 let now_us () = Unix.gettimeofday () *. 1e6
 
-(* Ambient per-domain context (e.g. a request id): every event records
-   the context current on its domain, so trace consumers can group the
-   spans of one request even when many requests interleave across
-   domains. *)
+(* Ambient per-domain context (e.g. a request id): every phase record
+   and event carries the context current on its domain, so trace
+   consumers can group the spans of one request even when many requests
+   interleave across domains. *)
 let ctx_key : string option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -51,50 +38,3 @@ let with_span_id id f =
   let saved = !cell in
   cell := Some id;
   Fun.protect ~finally:(fun () -> cell := saved) f
-
-(* One buffer per domain, created lazily; only the owning domain pushes,
-   so emission is lock-free. The registry of buffers is mutex-protected
-   and keeps buffers of terminated domains alive so their events survive
-   a pool shutdown. *)
-let registry : event list ref list ref = ref []
-let registry_mutex = Mutex.create ()
-
-let buffer_key =
-  Domain.DLS.new_key (fun () ->
-      let buf = ref [] in
-      Mutex.lock registry_mutex;
-      registry := buf :: !registry;
-      Mutex.unlock registry_mutex;
-      buf)
-
-let emit ?alloc ?span ?parent ~name ~phase () =
-  if Atomic.get on then begin
-    let buf = Domain.DLS.get buffer_key in
-    buf :=
-      {
-        name;
-        phase;
-        ts_us = now_us ();
-        domain = (Domain.self () :> int);
-        ctx = current_ctx ();
-        alloc_bytes = alloc;
-        span;
-        parent;
-      }
-      :: !buf
-  end
-
-let events () =
-  Mutex.lock registry_mutex;
-  let buffers = !registry in
-  Mutex.unlock registry_mutex;
-  (* buffers prepend, so reverse each one to chronological order before
-     the merge; the stable sort then keeps same-timestamp events of one
-     domain in emission order *)
-  List.concat_map (fun buf -> List.rev !buf) buffers
-  |> List.stable_sort (fun a b -> Float.compare a.ts_us b.ts_us)
-
-let clear () =
-  Mutex.lock registry_mutex;
-  List.iter (fun buf -> buf := []) !registry;
-  Mutex.unlock registry_mutex

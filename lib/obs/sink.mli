@@ -1,57 +1,30 @@
-(** Global recording switch and per-domain event buffers.
+(** Tracing switch, clock, and ambient per-domain context.
 
-    The sink is the single gate for all span/trace recording: when
-    disabled (the default) [emit] is a single atomic load and no
-    allocation, so instrumented hot paths cost nothing measurable.
+    The switch gates the scopes that only record while tracing
+    ({!Span.with_span}): when disabled (the default) such a scope costs
+    one atomic load. {!Span.phase} records into the always-on {!Phase}
+    ring either way, and {!Trace} renders that ring as a Chrome trace.
     Counters ({!Counter}) are deliberately {e not} gated — they are plain
     atomic adds, flushed in batches by the instrumented layers.
 
-    Events are buffered per domain (a [Domain.DLS] slot that registers
-    itself in a global list on first use), so recording never takes a
-    lock on the hot path. Merging ([events]) and [clear] walk every
-    domain's buffer and must only be called from quiescent points — after
-    [Parallel.Pool] work has settled, as the CLI and the test suite do. *)
-
-type phase = Begin | End | Instant
-
-type event = {
-  name : string;
-  phase : phase;
-  ts_us : float;  (** absolute timestamp, microseconds since the epoch *)
-  domain : int;  (** id of the recording domain *)
-  ctx : string option;  (** ambient context (trace/request id) at emission *)
-  alloc_bytes : float option;
-      (** bytes allocated inside the span, attached to its End event by
-          {!Span.with_alloc}; rendered as an [alloc_b] arg in the trace *)
-  span : int option;
-      (** span id of the scope this event opens or closes; rendered as a
-          [sid] arg in the trace *)
-  parent : int option;
-      (** span id of the enclosing scope at emission (parent link);
-          rendered as a [psid] arg in the trace *)
-}
+    The ambient request context and the innermost open span id live in
+    two [Domain.DLS] slots, so reading or setting them never takes a
+    lock. *)
 
 val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
 
 val now_us : unit -> float
-(** Wall-clock microseconds (the timestamp base used for all events). *)
-
-val emit :
-  ?alloc:float -> ?span:int -> ?parent:int ->
-  name:string -> phase:phase -> unit -> unit
-(** Record one event on the calling domain's buffer; no-op when the sink
-    is disabled. [alloc] attaches an allocation delta (bytes); [span] and
-    [parent] attach span identity (see {!new_span_id}). *)
+(** Wall-clock microseconds (the timestamp base used for all records). *)
 
 val with_ctx : string -> (unit -> 'a) -> 'a
 (** [with_ctx id f] runs [f] with the calling domain's ambient context
-    set to [id]; every event emitted inside records it (rendered as a
-    [req] arg in the Chrome trace, so Perfetto can group one request's
-    spans across interleaved sessions). Contexts nest — the previous
-    context is restored even if [f] raises — and cost one domain-local
-    write whether or not the sink is enabled. *)
+    set to [id]; every phase record and event made inside carries it
+    (rendered as a [req] arg in the Chrome trace, so Perfetto can group
+    one request's spans across interleaved sessions). Contexts nest — the
+    previous context is restored even if [f] raises — and cost one
+    domain-local write whether or not tracing is enabled. *)
 
 val current_ctx : unit -> string option
 (** The calling domain's ambient context, if any. *)
@@ -67,9 +40,3 @@ val with_span_id : int -> (unit -> 'a) -> 'a
 
 val current_span : unit -> int option
 (** The calling domain's innermost open span id, if any. *)
-
-val events : unit -> event list
-(** All recorded events across every domain, in timestamp order. *)
-
-val clear : unit -> unit
-(** Drop all buffered events (every domain). *)

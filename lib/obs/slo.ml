@@ -28,7 +28,7 @@ type ring = {
   mutable head : int;  (* next write position *)
 }
 
-type objective = { oname : string; target : float; kind : kind; ring : ring }
+type objective = { target : float; kind : kind; ring : ring }
 
 let ring_capacity = 4096
 
@@ -41,7 +41,9 @@ let make_ring () =
     head = 0;
   }
 
-let registry : objective list ref = ref []
+let registry : objective Registry.t = Registry.create ()
+
+(* guards the readings rings; the registry locks itself *)
 let mutex = Mutex.create ()
 
 let windows = [ ("5m", 300.0); ("1h", 3600.0) ]
@@ -49,17 +51,9 @@ let windows = [ ("5m", 300.0); ("1h", 3600.0) ]
 let register ~name ~target kind =
   if target <= 0.0 || target >= 1.0 then
     invalid_arg "Slo.register: target must be in (0, 1)";
-  Mutex.lock mutex;
-  registry :=
-    !registry
-    |> List.filter (fun o -> o.oname <> name)
-    |> List.cons { oname = name; target; kind; ring = make_ring () };
-  Mutex.unlock mutex
+  Registry.replace registry name { target; kind; ring = make_ring () }
 
-let clear () =
-  Mutex.lock mutex;
-  registry := [];
-  Mutex.unlock mutex
+let clear () = Registry.clear registry
 
 (* Current cumulative (good, total) for an objective, read straight from
    the live registries. *)
@@ -95,16 +89,13 @@ let push ring ts good total =
 
 let sample () =
   let now = Sink.now_us () in
-  Mutex.lock mutex;
-  let os = !registry in
-  Mutex.unlock mutex;
   List.iter
-    (fun o ->
+    (fun (_, o) ->
       let good, total = read_kind o.kind in
       Mutex.lock mutex;
       push o.ring now good total;
       Mutex.unlock mutex)
-    os
+    (Registry.to_list registry)
 
 (* i-th newest reading, 0 = most recent *)
 let nth_newest ring i =
@@ -122,12 +113,12 @@ type report = {
   burn : float;  (** error-budget burn rate; 0.0 with no traffic *)
 }
 
-let report_of o (wname, wspan) =
+let report_of (name, o) (wname, wspan) =
   Mutex.lock mutex;
   let r = o.ring in
   let result =
     if r.len < 2 then
-      { rname = o.oname; rtarget = o.target; window = wname; span_s = 0.0;
+      { rname = name; rtarget = o.target; window = wname; span_s = 0.0;
         good = 0.0; total = 0.0; ratio = 1.0; burn = 0.0 }
     else begin
       let newest_ts, newest_good, newest_total = nth_newest r 0 in
@@ -149,7 +140,7 @@ let report_of o (wname, wspan) =
       let ratio = if total <= 0.0 then 1.0 else good /. total in
       let burn = if total <= 0.0 then 0.0 else (1.0 -. ratio) /. (1.0 -. o.target) in
       {
-        rname = o.oname;
+        rname = name;
         rtarget = o.target;
         window = wname;
         span_s = (newest_ts -. base_ts) /. 1e6;
@@ -164,10 +155,9 @@ let report_of o (wname, wspan) =
   result
 
 let reports () =
-  Mutex.lock mutex;
-  let os = List.sort (fun a b -> compare a.oname b.oname) !registry in
-  Mutex.unlock mutex;
-  List.concat_map (fun o -> List.map (report_of o) windows) os
+  List.concat_map
+    (fun o -> List.map (report_of o) windows)
+    (Registry.to_list registry)
 
 let render_lines () =
   List.map

@@ -1,48 +1,19 @@
-let with_span name f =
-  if not (Sink.enabled ()) then f ()
-  else begin
-    Sink.emit ~name ~phase:Sink.Begin ();
-    Fun.protect ~finally:(fun () -> Sink.emit ~name ~phase:Sink.End ()) f
-  end
-
-(* Like with_span, but the End event carries the bytes the calling
-   domain allocated inside the span, and GC gauges are refreshed on
-   exit so the exposition tracks span boundaries. When the sink is
-   disabled this is exactly f () — the allocation counter is not read. *)
-let with_alloc name f =
-  if not (Sink.enabled ()) then f ()
-  else begin
-    Sink.emit ~name ~phase:Sink.Begin ();
-    let before = Gc.allocated_bytes () in
-    Fun.protect
-      ~finally:(fun () ->
-        let alloc = Gc.allocated_bytes () -. before in
-        Memprof.sample ();
-        Sink.emit ~alloc ~name ~phase:Sink.End ())
-      f
-  end
-
 (* A phase is a span with identity: it allocates a process-unique span
-   id, links to the innermost enclosing phase, records a completed-span
-   record in the always-on Phase ring (with wall time and the calling
-   domain's allocation delta), and — when the sink is enabled — also
-   emits Begin/End events carrying the ids so Chrome traces show the
-   same tree. The always-on cost is two clock reads, two allocation
-   counter reads and one ring write; there are no counters and no
-   locks. *)
+   id, links to the innermost enclosing phase, and records a
+   completed-span record in the always-on Phase ring (with wall time and
+   the calling domain's allocation delta). The cost is two clock reads,
+   two allocation counter reads and one ring write; there are no
+   counters and no locks. *)
 let phase ?(detail = "") ?result_detail name f =
   let parent = Sink.current_span () in
   let id = Sink.new_span_id () in
-  let sink_on = Sink.enabled () in
-  if sink_on then Sink.emit ~span:id ?parent ~name ~phase:Sink.Begin ();
   let before = Gc.allocated_bytes () in
   let start = Sink.now_us () in
   let finish detail =
     let dur = Sink.now_us () -. start in
     let alloc = Gc.allocated_bytes () -. before in
     Phase.push ~name ~detail ~id ~parent ~start_us:start ~dur_us:dur
-      ~alloc_bytes:alloc ();
-    if sink_on then Sink.emit ~alloc ~span:id ?parent ~name ~phase:Sink.End ()
+      ~alloc_bytes:alloc ()
   in
   match Sink.with_span_id id f with
   | v ->
@@ -55,37 +26,24 @@ let phase ?(detail = "") ?result_detail name f =
       finish detail;
       raise e
 
+let with_span name f = if Sink.enabled () then phase name f else f ()
+
 let timed name f =
   let t0 = Unix.gettimeofday () in
   let r = with_span name f in
   (r, Unix.gettimeofday () -. t0)
 
-let instant name = Sink.emit ~name ~phase:Sink.Instant ()
-
 type summary = { name : string; count : int; total_s : float }
 
-let summarize events =
+let summarize (records : Phase.record list) =
   let totals : (string, int * float) Hashtbl.t = Hashtbl.create 16 in
-  let stacks : (int, (string * float) list) Hashtbl.t = Hashtbl.create 8 in
   List.iter
-    (fun (e : Sink.event) ->
-      match e.phase with
-      | Sink.Begin ->
-          let stack =
-            Option.value ~default:[] (Hashtbl.find_opt stacks e.domain)
-          in
-          Hashtbl.replace stacks e.domain ((e.name, e.ts_us) :: stack)
-      | Sink.End -> (
-          match Hashtbl.find_opt stacks e.domain with
-          | Some ((name, t0) :: rest) when name = e.name ->
-              Hashtbl.replace stacks e.domain rest;
-              let count, total =
-                Option.value ~default:(0, 0.0) (Hashtbl.find_opt totals name)
-              in
-              Hashtbl.replace totals name (count + 1, total +. (e.ts_us -. t0))
-          | _ -> () (* unbalanced End: drop *))
-      | Sink.Instant -> ())
-    events;
+    (fun (r : Phase.record) ->
+      let count, total =
+        Option.value ~default:(0, 0.0) (Hashtbl.find_opt totals r.name)
+      in
+      Hashtbl.replace totals r.name (count + 1, total +. r.dur_us))
+    records;
   Hashtbl.fold
     (fun name (count, total) acc ->
       { name; count; total_s = total /. 1e6 } :: acc)

@@ -1,19 +1,13 @@
-(** Nestable timed scopes.
+(** Nestable timed scopes, recorded in the {!Phase} ring.
 
-    A span is a Begin/End event pair on the calling domain's buffer;
-    nesting is implied by event order per domain, exactly the model of
-    the Chrome trace-event format that {!Trace} emits. When the sink is
-    disabled, [with_span] is one atomic load plus the call to [f]. *)
+    A {!phase} always records one completed-span record when it closes.
+    A {!with_span} is a phase only while tracing is enabled
+    ({!Sink.enabled}); otherwise it is one atomic load plus the call to
+    [f]. Chrome traces ({!Trace}) render what the ring retains. *)
 
 val with_span : string -> (unit -> 'a) -> 'a
-(** [with_span name f] runs [f], bracketing it with Begin/End events when
-    the sink is enabled. The End event is emitted even if [f] raises. *)
-
-val with_alloc : string -> (unit -> 'a) -> 'a
-(** [with_span] that also attaches the bytes allocated by the calling
-    domain inside the span to the End event (an [alloc_b] arg in the
-    Chrome trace) and refreshes the [gc.*] gauges ({!Memprof.sample})
-    on exit. When the sink is disabled this is exactly [f ()]. *)
+(** [with_span name f] is [phase name f] when tracing is enabled and
+    [f ()] otherwise. *)
 
 val phase :
   ?detail:string -> ?result_detail:('a -> string) -> string ->
@@ -23,25 +17,19 @@ val phase :
     parent, runs [f] with that id ambient (so nested phases chain), and
     on exit — normal or raising — records a completed-span record with
     wall time and the calling domain's allocation delta in the always-on
-    {!Phase} ring. When the sink is enabled it additionally emits
-    Begin/End events carrying the ids ([sid]/[psid] trace args).
-    [detail] annotates the record; [result_detail], when given, is
-    applied to [f]'s result to compute the annotation instead (e.g. a
-    probe's feasibility verdict) — on an exception [detail] is used. *)
+    {!Phase} ring. [detail] annotates the record; [result_detail], when
+    given, is applied to [f]'s result to compute the annotation instead
+    (e.g. a probe's feasibility verdict) — on an exception [detail] is
+    used. *)
 
 val timed : string -> (unit -> 'a) -> 'a * float
 (** [timed name f] is [with_span name f] that additionally measures and
-    returns the elapsed wall-clock seconds — measured whether or not the
-    sink is enabled, so callers can rely on it for reporting. *)
-
-val instant : string -> unit
-(** Record a zero-duration instant event (a vertical mark in the trace
-    viewer); no-op when the sink is disabled. *)
+    returns the elapsed wall-clock seconds — measured whether or not
+    tracing is enabled, so callers can rely on it for reporting. *)
 
 type summary = { name : string; count : int; total_s : float }
 (** Aggregate of all completed spans of one name. *)
 
-val summarize : Sink.event list -> summary list
-(** Pair Begin/End events per domain (unbalanced events are dropped) and
-    aggregate count and total duration per span name, sorted by name.
-    Durations of nested same-name spans both count, as in a flame graph. *)
+val summarize : Phase.record list -> summary list
+(** Count and total duration per span name, sorted by name. Durations
+    of nested same-name spans both count, as in a flame graph. *)

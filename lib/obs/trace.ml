@@ -14,45 +14,63 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* Phase records as Chrome B/E pairs that nest per tid. One domain runs
+   its spans as a call stack, so a record nests inside the innermost
+   record of its domain whose interval contains it; parent links cannot
+   decide this alone, since a parent may be evicted, on another domain or
+   in another process. Records arrive sorted by start (ties in open
+   order), so one stack per domain finds that record; a pre-order walk
+   of each tree then emits a B, the children, then an E. *)
+type node = { r : Phase.record; mutable kids : node list }
+
+let end_us (r : Phase.record) = r.start_us +. r.dur_us
+
 let to_string () =
-  let events = Sink.events () in
-  let t0 = match events with [] -> 0.0 | e :: _ -> e.Sink.ts_us in
-  let buf = Buffer.create (256 + (96 * List.length events)) in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i (e : Sink.event) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let ph, extra =
-        match e.phase with
-        | Sink.Begin -> ("B", "")
-        | Sink.End -> ("E", "")
-        | Sink.Instant -> ("i", ",\"s\":\"t\"")
-      in
-      let args =
-        let parts =
-          (match e.ctx with
-          | None -> []
-          | Some ctx -> [ Printf.sprintf "\"req\":\"%s\"" (escape ctx) ])
-          @ (match e.span with
-            | None -> []
-            | Some id -> [ Printf.sprintf "\"sid\":%d" id ])
-          @ (match e.parent with
-            | None -> []
-            | Some id -> [ Printf.sprintf "\"psid\":%d" id ])
-          @
-          match e.alloc_bytes with
-          | None -> []
-          | Some b -> [ Printf.sprintf "\"alloc_b\":%.0f" b ]
+  let records = Phase.snapshot () in
+  let t0 = match records with [] -> 0.0 | r :: _ -> r.Phase.start_us in
+  let stacks = Hashtbl.create 8 in
+  let roots =
+    List.filter_map
+      (fun (r : Phase.record) ->
+        let rec enclosing = function
+          | q :: _ as stack when end_us r <= end_us q.r -> stack
+          | _ :: rest -> enclosing rest
+          | [] -> []
         in
-        match parts with
-        | [] -> ""
-        | parts ->
-            Printf.sprintf ",\"args\":{%s}" (String.concat "," parts)
-      in
-      Printf.bprintf buf
-        "\n{\"name\":\"%s\",\"cat\":\"obs\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d%s%s}"
-        (escape e.name) ph (e.ts_us -. t0) e.domain extra args)
-    events;
+        let open_ = Hashtbl.find_opt stacks r.domain in
+        let stack = enclosing (Option.value ~default:[] open_) in
+        let n = { r; kids = [] } in
+        Hashtbl.replace stacks r.domain (n :: stack);
+        match stack with
+        | q :: _ ->
+            q.kids <- n :: q.kids;
+            None
+        | [] -> Some n)
+      records
+  in
+  let buf = Buffer.create (256 + (192 * List.length records)) in
+  Buffer.add_string buf "{\"traceEvents\":[";
+  let first = ref true in
+  let event (r : Phase.record) ph ts alloc =
+    if !first then first := false else Buffer.add_char buf ',';
+    Printf.bprintf buf
+      "\n{\"name\":\"%s\",\"cat\":\"obs\",\"ph\":\"%s\",\"ts\":%.3f,\
+       \"pid\":1,\"tid\":%d,\"args\":{"
+      (escape r.name) ph (ts -. t0) r.domain;
+    Option.iter
+      (fun c -> Printf.bprintf buf "\"req\":\"%s\"," (escape c))
+      r.ctx;
+    Printf.bprintf buf "\"sid\":%d" r.id;
+    Option.iter (Printf.bprintf buf ",\"psid\":%d") r.parent;
+    if alloc then Printf.bprintf buf ",\"alloc_b\":%.0f" r.alloc_bytes;
+    Buffer.add_string buf "}}"
+  in
+  let rec walk n =
+    event n.r "B" n.r.start_us false;
+    List.iter walk (List.rev n.kids);
+    event n.r "E" (end_us n.r) true
+  in
+  List.iter walk roots;
   (* t0_us anchors the relative timestamps to the wall clock, so traces
      from different processes (a loadgen client and the server that
      answered it) can be re-based onto one timeline by [merge_strings].
@@ -66,7 +84,7 @@ let to_file path =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string ()))
 
-(* --- validation: a minimal JSON reader, enough to self-check the sink
+(* --- validation: a minimal JSON reader, enough to self-check the trace
    format without an external dependency. --- *)
 
 type json =

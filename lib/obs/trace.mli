@@ -1,19 +1,30 @@
-(** Chrome trace-event export of the sink's recorded events.
+(** Chrome trace-event export of the {!Phase} ring.
 
     The emitted JSON loads directly in [chrome://tracing] and in Perfetto
-    (legacy trace-event format): one [B]/[E]/[i] record per event, with
-    the recording domain as [tid] so concurrent pool work renders as
-    parallel tracks. Timestamps are microseconds relative to the first
-    recorded event. *)
+    (legacy trace-event format): one [B]/[E] pair per retained phase
+    record, with the recording domain as [tid] so concurrent pool work
+    renders as parallel tracks. Timestamps are microseconds relative to
+    the earliest retained span start. A trace holds what the ring
+    retains — the newest {!Phase.default_capacity} spans per domain
+    unless resized — not every span since start. *)
+
+val escape : string -> string
+(** JSON string-body escaping: quote, backslash, [\n], [\r], [\t] and
+    other control characters as [\u00XX]. The one escaper of [Obs]'s
+    JSON writers. *)
 
 val to_string : unit -> string
-(** Serialize everything recorded so far. *)
+(** Serialize the retained phase records. Pairs nest per [tid] in time
+    order: a record nests inside the innermost record of its domain whose
+    interval contains it. Each event's [args] carry [req] (the ambient
+    context, when set), [sid] and [psid] (the span and parent ids,
+    [psid] only with a parent), and each [E] also [alloc_b]. *)
 
 val to_file : string -> unit
 (** [to_string] written to a file (truncates an existing file). *)
 
 val validate_string : string -> (int, string) result
-(** Self-check of the sink format used by the golden tests and the
+(** Self-check of the trace format used by the golden tests and the
     [@obs-smoke] alias: parses the JSON with a minimal scanner, checks
     the [traceEvents] array and the required keys of each record, and
     verifies that Begin/End events pair up per [tid]. Returns the number

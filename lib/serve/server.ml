@@ -358,18 +358,23 @@ let handle_request ?pressure t (req : Proto.request) =
         let assignment =
           Core.Schedule.assignment result.Algos.Common.schedule
         in
-        (if not outcome.Dispatch.degraded then
-           match Canon.canonicalize req.instance with
-           | exception Invalid_argument _ -> ()
-           | canon ->
-               Cache.put t.cache
-                 (Core.Instance_io.to_string canon.Canon.instance)
-                 {
-                   makespan = result.Algos.Common.makespan;
-                   assignment = Canon.assignment_to_canonical canon assignment;
-                   solver = outcome.Dispatch.solver;
-                 };
-               record_prehash t ph);
+        (* storing the result (canonicalize, key, put, fingerprint) is a
+           phase of its own, so the explain tree accounts for the work
+           after the solve *)
+        if not outcome.Dispatch.degraded then
+          Obs.Span.phase "serve.cache.store" (fun () ->
+              match Canon.canonicalize req.instance with
+              | exception Invalid_argument _ -> ()
+              | canon ->
+                  Cache.put t.cache
+                    (Core.Instance_io.to_string canon.Canon.instance)
+                    {
+                      makespan = result.Algos.Common.makespan;
+                      assignment =
+                        Canon.assignment_to_canonical canon assignment;
+                      solver = outcome.Dispatch.solver;
+                    };
+                  record_prehash t ph);
         Proto.Reply
           {
             solver = outcome.Dispatch.solver;
@@ -410,15 +415,15 @@ let handle_request ?pressure t (req : Proto.request) =
                 let assignment =
                   Core.Schedule.assignment result.Algos.Common.schedule
                 in
-                if not outcome.Dispatch.degraded then begin
-                  Cache.put t.cache key
-                    {
-                      makespan = result.Algos.Common.makespan;
-                      assignment;
-                      solver = outcome.Dispatch.solver;
-                    };
-                  record_prehash t ph
-                end;
+                if not outcome.Dispatch.degraded then
+                  Obs.Span.phase "serve.cache.store" (fun () ->
+                      Cache.put t.cache key
+                        {
+                          makespan = result.Algos.Common.makespan;
+                          assignment;
+                          solver = outcome.Dispatch.solver;
+                        };
+                      record_prehash t ph);
                 Proto.Reply
                   {
                     solver = outcome.Dispatch.solver;

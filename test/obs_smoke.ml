@@ -1,7 +1,8 @@
-(* @obs-smoke: end-to-end check of the observability sink format, wired
-   into `dune runtest`. Runs a tiny instrumented workload with tracing
-   enabled, writes a Chrome trace, and validates it with the sink's own
-   format checker — a regression in the trace serializer fails tier-1. *)
+(* @obs-smoke: end-to-end check of the Chrome-trace format, wired into
+   `dune runtest`. Runs a tiny instrumented workload with tracing
+   enabled, writes a Chrome trace from the phase ring, and validates it
+   with Obs.Trace's own format checker — a regression in the trace
+   serializer fails tier-1. *)
 
 let () =
   Obs.Sink.enable ();

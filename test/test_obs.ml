@@ -5,15 +5,32 @@
 module C = Obs.Counter
 module P = Parallel.Pool
 
-(* Every test that records events starts from a clean, disabled sink. *)
+(* Every span test starts from an empty phase ring with tracing off. *)
 let with_clean_sink f =
-  Obs.Sink.clear ();
+  Obs.Phase.clear ();
   Obs.Sink.disable ();
   Fun.protect
     ~finally:(fun () ->
       Obs.Sink.disable ();
-      Obs.Sink.clear ())
+      Obs.Phase.clear ())
     f
+
+let recorded () = List.length (Obs.Phase.snapshot ())
+
+(* (name, ph) of every event in the rendered Chrome trace, in order *)
+let trace_events text =
+  let re =
+    Str.regexp
+      "\"name\":\"\\([^\"]*\\)\",\"cat\":\"obs\",\"ph\":\"\\([BE]\\)\""
+  in
+  let rec go pos acc =
+    match Str.search_forward re text pos with
+    | exception Not_found -> List.rev acc
+    | _ ->
+        go (Str.match_end ())
+          ((Str.matched_group 1 text, Str.matched_group 2 text) :: acc)
+  in
+  go 0 []
 
 let test_counter_basics () =
   let c = C.make "test.basics" in
@@ -67,8 +84,7 @@ let test_span_disabled () =
   with_clean_sink (fun () ->
       let r = Obs.Span.with_span "quiet" (fun () -> 7) in
       Alcotest.(check int) "result" 7 r;
-      Alcotest.(check int) "no events recorded" 0
-        (List.length (Obs.Sink.events ())))
+      Alcotest.(check int) "no events recorded" 0 (recorded ()))
 
 let test_timed () =
   with_clean_sink (fun () ->
@@ -76,8 +92,7 @@ let test_timed () =
       Alcotest.(check int) "result" 5 r;
       Alcotest.(check bool) "elapsed measured while disabled" true
         (secs >= 0.005);
-      Alcotest.(check int) "but nothing recorded" 0
-        (List.length (Obs.Sink.events ())))
+      Alcotest.(check int) "but nothing recorded" 0 (recorded ()))
 
 let test_span_nesting () =
   with_clean_sink (fun () ->
@@ -85,18 +100,10 @@ let test_span_nesting () =
       Obs.Span.with_span "outer" (fun () ->
           Obs.Span.with_span "inner" (fun () -> ());
           Obs.Span.with_span "inner" (fun () -> ()));
-      let events = Obs.Sink.events () in
-      Alcotest.(check int) "3 spans = 6 events" 6 (List.length events);
-      let names =
-        List.map
-          (fun (e : Obs.Sink.event) ->
-            ( e.Obs.Sink.name,
-              match e.Obs.Sink.phase with
-              | Obs.Sink.Begin -> "B"
-              | Obs.Sink.End -> "E"
-              | Obs.Sink.Instant -> "i" ))
-          events
-      in
+      let records = Obs.Phase.snapshot () in
+      Alcotest.(check int) "3 spans recorded" 3 (List.length records);
+      let names = trace_events (Obs.Trace.to_string ()) in
+      Alcotest.(check int) "3 spans = 6 events" 6 (List.length names);
       Alcotest.(check (list (pair string string)))
         "emission order respects nesting"
         [
@@ -108,7 +115,7 @@ let test_span_nesting () =
           ("outer", "E");
         ]
         names;
-      let summaries = Obs.Span.summarize events in
+      let summaries = Obs.Span.summarize records in
       let find name =
         List.find (fun (s : Obs.Span.summary) -> s.Obs.Span.name = name)
           summaries
@@ -123,11 +130,11 @@ let test_span_raise_still_closes () =
       Obs.Sink.enable ();
       (try Obs.Span.with_span "boom" (fun () -> failwith "x")
        with Failure _ -> ());
-      match Obs.Sink.events () with
-      | [ b; e ] ->
-          Alcotest.(check bool) "B then E" true
-            (b.Obs.Sink.phase = Obs.Sink.Begin
-            && e.Obs.Sink.phase = Obs.Sink.End)
+      Alcotest.(check (list string)) "one record" [ "boom" ]
+        (List.map (fun r -> r.Obs.Phase.name) (Obs.Phase.snapshot ()));
+      match trace_events (Obs.Trace.to_string ()) with
+      | [ (_, b); (_, e) ] ->
+          Alcotest.(check bool) "B then E" true (b = "B" && e = "E")
       | evs ->
           Alcotest.failf "expected exactly B/E, got %d events"
             (List.length evs))
@@ -145,7 +152,7 @@ let test_span_merge_across_domains () =
             (P.run pool
                (List.init 8 (fun i () ->
                     Obs.Span.with_span "work" (fun () -> i * i)))));
-      let summaries = Obs.Span.summarize (Obs.Sink.events ()) in
+      let summaries = Obs.Span.summarize (Obs.Phase.snapshot ()) in
       let count name =
         match
           List.find_opt
@@ -166,11 +173,10 @@ let test_trace_golden () =
   with_clean_sink (fun () ->
       Obs.Sink.enable ();
       Obs.Span.with_span "a" (fun () ->
-          Obs.Span.with_span "b" (fun () -> ());
-          Obs.Span.instant "mark");
+          Obs.Span.with_span "b" (fun () -> ()));
       let text = Obs.Trace.to_string () in
       (match Obs.Trace.validate_string text with
-      | Ok n -> Alcotest.(check int) "2 spans + 1 instant = 5 events" 5 n
+      | Ok n -> Alcotest.(check int) "2 spans = 4 events" 4 n
       | Error msg -> Alcotest.failf "trace did not validate: %s" msg);
       (* file round-trip *)
       let file = Filename.temp_file "test_obs" ".json" in
@@ -179,7 +185,7 @@ let test_trace_golden () =
         (fun () ->
           Obs.Trace.to_file file;
           match Obs.Trace.validate_file file with
-          | Ok n -> Alcotest.(check int) "file round-trip" 5 n
+          | Ok n -> Alcotest.(check int) "file round-trip" 4 n
           | Error msg -> Alcotest.failf "file did not validate: %s" msg))
 
 let test_trace_validator_rejects () =
@@ -628,6 +634,90 @@ let test_expo_empty_histogram () =
         (Astring.String.is_infix ~affix obj))
     [ "\"p50\": null"; "\"p90\": null"; "\"p99\": null"; "\"buckets\": []" ]
 
+(* Golden scrape: a fixed set of [golden.*] metrics renders to exactly
+   these Prometheus and JSON lines. The exemplar timestamp is masked, and
+   a trailing comma is dropped because it depends on whether another
+   metric sorts after the golden ones. *)
+let golden_lines text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> Astring.String.is_infix ~affix:"golden" l)
+  |> List.map (fun l ->
+         let l =
+           Str.global_replace
+             (Str.regexp "\"ts_us\": [^}]*}")
+             "\"ts_us\": <ts>}" l
+         in
+         let l =
+           Str.global_replace
+             (Str.regexp "\\(# {trace_id=\"[^\"]*\"} [^ ]*\\) [0-9.]+$")
+             "\\1 <ts>" l
+         in
+         if String.ends_with ~suffix:"," l then
+           String.sub l 0 (String.length l - 1)
+         else l)
+
+let golden_prometheus =
+  [
+    "# TYPE golden_counter counter";
+    "golden_counter 3";
+    "# TYPE golden_requests counter";
+    "golden_requests{status=\"error\"} 1";
+    "golden_requests{status=\"ok\"} 2";
+    "# TYPE golden_gauge gauge";
+    "golden_gauge 0.5";
+    "# TYPE golden_empty_us histogram";
+    "golden_empty_us_bucket{le=\"+Inf\"} 0";
+    "golden_empty_us_sum 0";
+    "golden_empty_us_count 0";
+    "# TYPE golden_latency_us histogram";
+    "golden_latency_us_bucket{le=\"1\"} 1";
+    "golden_latency_us_bucket{le=\"3.05175781\"} 2";
+    "golden_latency_us_bucket{le=\"44.408921\"} 4 # {trace_id=\"golden-1\"} \
+     40 <ts>";
+    "golden_latency_us_bucket{le=\"+Inf\"} 4";
+    "golden_latency_us_sum 83.5";
+    "golden_latency_us_count 4";
+  ]
+
+let golden_json =
+  [
+    "    \"golden.counter\": 3";
+    "    {\"metric\": \"golden.requests\", \"status\": \"error\", \
+     \"value\": 1}";
+    "    {\"metric\": \"golden.requests\", \"status\": \"ok\", \
+     \"value\": 2}";
+    "    \"golden.gauge\": 0.5";
+    "    {\"name\": \"golden.empty_us\", \"count\": 0, \"sum\": 0, \"max\": \
+     \"NaN\", \"ratio\": 1.25, \"p50\": null, \"p90\": null, \"p99\": null, \
+     \"buckets\": []}";
+    "    {\"name\": \"golden.latency_us\", \"count\": 4, \"sum\": 83.5, \
+     \"max\": 40, \"ratio\": 1.25, \"p50\": 3.05175781, \"p90\": 40, \
+     \"p99\": 40, \"buckets\": [{\"le\": 1, \"count\": 1}, {\"le\": \
+     3.05175781, \"count\": 1}, {\"le\": 44.408921, \"count\": 2, \
+     \"exemplar\": {\"trace_id\": \"golden-1\", \"value\": 40, \"ts_us\": \
+     <ts>}}]}";
+  ]
+
+let test_expo_golden () =
+  let c = C.make "golden.counter" in
+  C.reset c;
+  C.add c 3;
+  let f = L.family "golden.requests" ~label:"status" in
+  L.add (L.cell f "ok") 2;
+  L.incr (L.cell f "error");
+  Obs.Gauge.set (Obs.Gauge.make "golden.gauge") 0.5;
+  let h = H.make "golden.latency_us" in
+  H.reset h;
+  List.iter (H.observe h) [ 0.5; 3.0; 40.0 ];
+  Obs.Sink.with_ctx "golden-1" (fun () -> H.observe h 40.0);
+  H.reset (H.make "golden.empty_us");
+  Alcotest.(check (list string))
+    "prometheus" golden_prometheus
+    (golden_lines (Obs.Expo.prometheus ()));
+  Alcotest.(check (list string))
+    "json" golden_json
+    (golden_lines (Obs.Expo.json ()))
+
 let test_slo_burn_rate () =
   (* 90% good traffic against a 90% target burns the error budget at
      exactly 1.0x on every window *)
@@ -671,14 +761,14 @@ let test_sink_ctx () =
             (Obs.Sink.current_ctx ());
           Obs.Span.with_span "outer" (fun () ->
               Obs.Span.with_span "inner" (fun () -> ())));
-      Obs.Span.instant "after";
+      Obs.Span.with_span "after" (fun () -> ());
       let tagged, untagged =
         List.partition
-          (fun (e : Obs.Sink.event) -> e.Obs.Sink.ctx = Some "r42")
-          (Obs.Sink.events ())
+          (fun (r : Obs.Phase.record) -> r.Obs.Phase.ctx = Some "r42")
+          (Obs.Phase.snapshot ())
       in
-      Alcotest.(check int) "both spans tagged" 4 (List.length tagged);
-      Alcotest.(check int) "event outside with_ctx untagged" 1
+      Alcotest.(check int) "both spans tagged" 2 (List.length tagged);
+      Alcotest.(check int) "span outside with_ctx untagged" 1
         (List.length untagged);
       (* nested ctx restores the outer one, even on raise *)
       Obs.Sink.with_ctx "a" (fun () ->
@@ -688,7 +778,8 @@ let test_sink_ctx () =
             (Obs.Sink.current_ctx ()));
       let text = Obs.Trace.to_string () in
       Alcotest.(check bool) "trace carries the request id" true
-        (Astring.String.is_infix ~affix:"\"args\":{\"req\":\"r42\"}" text);
+        (Astring.String.is_infix ~affix:"\"args\":{\"req\":\"r42\",\"sid\":"
+           text);
       match Obs.Trace.validate_string text with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "trace with args did not validate: %s" msg)
@@ -867,27 +958,32 @@ let test_memprof_gauges () =
   Alcotest.(check int) "with_alloc result" 1000 (List.length x);
   Alcotest.(check bool) "allocation measured" true (bytes > 0.0)
 
-let test_span_with_alloc () =
+let test_span_alloc () =
   with_clean_sink (fun () ->
-      (* disabled: no events, no overhead path *)
-      let r = Obs.Span.with_alloc "quiet" (fun () -> 3) in
+      (* disabled: no record, no overhead path *)
+      let r = Obs.Span.with_span "quiet" (fun () -> 3) in
       Alcotest.(check int) "result while disabled" 3 r;
-      Alcotest.(check int) "nothing recorded" 0
-        (List.length (Obs.Sink.events ()));
+      Alcotest.(check int) "nothing recorded" 0 (recorded ());
       Obs.Sink.enable ();
-      let keep = Obs.Span.with_alloc "alloc" (fun () -> Array.make 4096 0.0) in
+      let keep = Obs.Span.with_span "alloc" (fun () -> Array.make 4096 0.0) in
       Alcotest.(check int) "result" 4096 (Array.length keep);
-      (match Obs.Sink.events () with
+      (match Obs.Phase.snapshot () with
+      | [ r ] ->
+          Alcotest.(check bool) "record carries the bytes" true
+            (r.Obs.Phase.alloc_bytes >= 4096.0 *. 8.0)
+      | rs -> Alcotest.failf "expected 1 record, got %d" (List.length rs));
+      let text = Obs.Trace.to_string () in
+      (match
+         List.filter
+           (fun l -> Astring.String.is_infix ~affix:"\"name\":\"alloc\"" l)
+           (String.split_on_char '\n' text)
+       with
       | [ b; e ] ->
           Alcotest.(check bool) "begin carries no delta" true
-            (b.Obs.Sink.alloc_bytes = None);
-          (match e.Obs.Sink.alloc_bytes with
-          | Some bytes ->
-              Alcotest.(check bool) "end carries the bytes" true
-                (bytes >= 4096.0 *. 8.0)
-          | None -> Alcotest.fail "End event lost the allocation delta")
-      | evs -> Alcotest.failf "expected B/E, got %d events" (List.length evs));
-      let text = Obs.Trace.to_string () in
+            (not (Astring.String.is_infix ~affix:"alloc_b" b));
+          Alcotest.(check bool) "end carries the bytes" true
+            (Astring.String.is_infix ~affix:"alloc_b" e)
+      | ls -> Alcotest.failf "expected B/E lines, got %d" (List.length ls));
       Alcotest.(check bool) "trace renders alloc_b" true
         (Astring.String.is_infix ~affix:"\"alloc_b\":" text);
       match Obs.Trace.validate_string text with
@@ -1008,6 +1104,7 @@ let () =
           Alcotest.test_case "json" `Quick test_expo_json;
           Alcotest.test_case "empty histogram exposed" `Quick
             test_expo_empty_histogram;
+          Alcotest.test_case "golden scrape" `Quick test_expo_golden;
           Alcotest.test_case "slo burn rate" `Quick test_slo_burn_rate;
         ] );
       ( "ctx",
@@ -1051,7 +1148,7 @@ let () =
       ( "memprof",
         [
           Alcotest.test_case "gc gauges" `Quick test_memprof_gauges;
-          Alcotest.test_case "span alloc delta" `Quick test_span_with_alloc;
+          Alcotest.test_case "span alloc delta" `Quick test_span_alloc;
         ] );
       ( "profile",
         [
