@@ -169,7 +169,13 @@ let stop () =
               ignore
                 (Unix.setitimer Unix.ITIMER_PROF
                    { Unix.it_interval = 0.0; it_value = 0.0 });
-              Sys.set_signal Sys.sigprof e.e_prev
+              (* a SIGPROF raised before the disarm can land after this
+                 line; the default disposition would terminate the
+                 process, so a stopped engine ignores it instead *)
+              Sys.set_signal Sys.sigprof
+                (match e.e_prev with
+                | Sys.Signal_default -> Sys.Signal_ignore
+                | prev -> prev)
           | Alloc -> Memprof.stop_sampler ());
           current := None)
 

@@ -49,7 +49,9 @@ val start : ?rate:float -> mode -> (unit, string) result
 
 val stop : unit -> unit
 (** Disarm the running engine, if any; retained samples survive so a
-    final {!aggregate} can follow. Idempotent. *)
+    final {!aggregate} can follow. Idempotent. The CPU engine puts
+    SIGPROF's previous disposition back, except that a default one
+    becomes ignore: a signal raised before the disarm may still land. *)
 
 val running : unit -> mode option
 

@@ -26,11 +26,15 @@ let default_config =
    arrival order; a response may be computed out of order (inline sheds
    finish before pooled solves) but is only serialized once every
    earlier slot has been written, so pipelined clients read replies in
-   request order. *)
+   request order. Session frames also *run* in arrival order: while one
+   is queued or on a worker ([session_busy]), later ones wait in [held]
+   with their slots already in line. *)
 type conn = {
   fd : Unix.file_descr;
   parser : Proto.Incremental.t;
   slots : Proto.response option ref Queue.t;
+  held : (Proto.response option ref * Proto.incoming) Queue.t;
+  mutable session_busy : bool;
   out : Buffer.t;
   mutable out_off : int;
   mutable eof : bool;  (* peer closed its write side; drain then close *)
@@ -315,9 +319,43 @@ let dispatch_pending t =
     if not work.wconn.closed then dispatch t work
   done
 
+(* Admission control for a solver-bound frame whose slot is in line. *)
+let admit_pooled t conn slot incoming =
+  let depth = Queue.length t.pending in
+  let status = Obs.Health.status () in
+  let cap = capacity t status in
+  if depth >= cap then begin
+    record_admission t
+      (if depth >= t.config.max_pending then Shed_queue_full
+       else Shed_pressure);
+    slot := Some (shed_response t incoming);
+    pump t conn
+  end
+  else begin
+    record_admission t Admitted;
+    Queue.push
+      { wconn = conn; wslot = slot; wincoming = incoming;
+        wenq_us = Obs.Sink.now_us ();
+        wpressure = status <> Obs.Health.Ok }
+      t.pending;
+    set_queue_depth t;
+    dispatch_pending t
+  end
+
+(* Admit held session frames until one stays queued or running; a shed
+   one runs inline and lets the next through at once. *)
+let rec admit_held t conn =
+  if not conn.closed then
+    match Queue.take_opt conn.held with
+    | None -> conn.session_busy <- false
+    | Some (slot, incoming) ->
+        admit_pooled t conn slot incoming;
+        if Option.is_none !slot then conn.session_busy <- true
+        else admit_held t conn
+
 (* One parsed frame: admin frames answer inline (they read process-wide
    registries and cost microseconds); solver-bound frames pass admission
-   control. *)
+   control, session frames one at a time per connection. *)
 let admit t conn (incoming : Proto.incoming) =
   let slot = ref None in
   Queue.push slot conn.slots;
@@ -325,27 +363,10 @@ let admit t conn (incoming : Proto.incoming) =
   | Proto.Stats _ | Proto.Events _ | Proto.Health | Proto.Explain _ ->
       slot := Some (Server.handle_incoming t.server incoming);
       pump t conn
-  | Proto.Solve _ | Proto.Session _ | Proto.Profile _ ->
-      let depth = Queue.length t.pending in
-      let status = Obs.Health.status () in
-      let cap = capacity t status in
-      if depth >= cap then begin
-        record_admission t
-          (if depth >= t.config.max_pending then Shed_queue_full
-           else Shed_pressure);
-        slot := Some (shed_response t incoming);
-        pump t conn
-      end
-      else begin
-        record_admission t Admitted;
-        Queue.push
-          { wconn = conn; wslot = slot; wincoming = incoming;
-            wenq_us = Obs.Sink.now_us ();
-            wpressure = status <> Obs.Health.Ok }
-          t.pending;
-        set_queue_depth t;
-        dispatch_pending t
-      end
+  | Proto.Session _ ->
+      Queue.push (slot, incoming) conn.held;
+      if not conn.session_busy then admit_held t conn
+  | Proto.Solve _ | Proto.Profile _ -> admit_pooled t conn slot incoming
 
 let process_frames t conn =
   let rec loop () =
@@ -415,6 +436,8 @@ let accept_ready t lfd =
               fd;
               parser = Proto.Incremental.create ();
               slots = Queue.create ();
+              held = Queue.create ();
+              session_busy = false;
               out = Buffer.create 256;
               out_off = 0;
               eof = false;
@@ -454,6 +477,9 @@ let drain_completed t =
       t.inflight <- t.inflight - 1;
       Obs.Counter.incr t.m.c_wakeups;
       work.wslot := Some response;
+      (match work.wincoming with
+      | Proto.Session _ -> admit_held t work.wconn
+      | _ -> ());
       if not work.wconn.closed then pump t work.wconn)
     batch
 

@@ -94,463 +94,250 @@ let session_op_name = function
   | S_resolve _ -> "resolve"
   | S_close -> "close"
 
-let stats_format_to_string = function
-  | Prometheus -> "prometheus"
-  | Json -> "json"
+let profile_action_name = function
+  | P_status -> "status"
+  | P_start -> "start"
+  | P_stop -> "stop"
+  | P_capture _ -> "capture"
 
-let stats_format_of_string = function
-  | "prometheus" -> Some Prometheus
-  | "json" -> Some Json
-  | _ -> None
+let ( let* ) = Result.bind
+
+(* --- value codecs ------------------------------------------------------- *)
+
+(* One codec per value type. [parse] reads a field's value (the rest of
+   its line after the key) and fails with the text that follows
+   ["<key>: "] in the error; the getters add the key. [print] gives the
+   words written after the key: one for a scalar, one per item for a
+   space-separated list, so an empty list leaves the bare key. *)
+type 'a codec = {
+  parse : string -> ('a, string) result;
+  print : 'a -> string list;
+}
+
+let expected what v =
+  Result.Error (Printf.sprintf "expected %s, got %S" what v)
+
+let word to_text x = [ to_text x ]
+let text = { parse = Result.ok; print = word Fun.id }
+
+let name =
+  { text with parse = (fun v -> if v = "" then expected "a name" v else Ok v) }
+
+(* an error reply's message must stay a single line to preserve framing *)
+let message =
+  { text with print = word (String.map (function '\n' | '\r' -> ' ' | c -> c)) }
 
 let float_to_text x =
   if x = infinity then "inf" else Printf.sprintf "%.17g" x
 
-(* --- requests ----------------------------------------------------------- *)
+(* [ok] is the accepted range; [inf] reads like any other float *)
+let number what ok =
+  {
+    parse =
+      (fun v ->
+        match float_of_string_opt v with
+        | Some x when ok x -> Ok x
+        | Some _ | None -> expected what v);
+    print = word float_to_text;
+  }
 
-let split_first line =
-  match String.index_opt line ' ' with
-  | None -> (line, "")
-  | Some i ->
-      ( String.sub line 0 i,
-        String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
+let integer what ok =
+  {
+    parse =
+      (fun v ->
+        match int_of_string_opt v with
+        | Some n when ok n -> Ok n
+        | Some _ | None -> expected what v);
+    print = word string_of_int;
+  }
+
+let enum to_text values =
+  let what = String.concat "|" (List.map to_text values) in
+  {
+    parse =
+      (fun v ->
+        match List.find_opt (fun x -> to_text x = v) values with
+        | Some x -> Ok x
+        | None -> expected what v);
+    print = word to_text;
+  }
+
+let bool =
+  {
+    parse =
+      (fun v ->
+        match bool_of_string_opt v with
+        | Some b -> Ok b
+        | None -> expected "a bool" v);
+    print = word string_of_bool;
+  }
+
+(* the first failure wins *)
+let parse_all parse items =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | s :: rest -> (
+        match parse s with
+        | Ok x -> go (x :: acc) rest
+        | Result.Error e -> Result.Error e)
+  in
+  go [] items
+
+let tokens v = String.split_on_char ' ' v |> List.filter (( <> ) "")
+
+let words c =
+  {
+    parse = (fun v -> parse_all c.parse (tokens v));
+    print = List.concat_map c.print;
+  }
+
+let commas c =
+  {
+    parse = (fun v -> parse_all c.parse (String.split_on_char ',' v));
+    print = word (fun l -> String.concat "," (List.concat_map c.print l));
+  }
+
+let array c =
+  {
+    parse = (fun v -> Result.map Array.of_list (c.parse v));
+    print = (fun a -> c.print (Array.to_list a));
+  }
 
 (* Session and trace ids travel on single lines of both directions, so
    keep them boring: short and made of unambiguous characters. *)
-let check_id ~what id =
+let id =
   let ok_char = function
     | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> true
     | _ -> false
   in
-  if id = "" then Result.Error (Printf.sprintf "%s: must not be empty" what)
-  else if String.length id > 64 then
-    Result.Error (Printf.sprintf "%s: must be at most 64 characters" what)
-  else if not (String.for_all ok_char id) then
-    Result.Error
-      (Printf.sprintf "%s: %S has characters outside [A-Za-z0-9._-]" what id)
-  else Ok id
+  let parse v =
+    if v = "" then Result.Error "must not be empty"
+    else if String.length v > 64 then
+      Result.Error "must be at most 64 characters"
+    else if not (String.for_all ok_char v) then
+      Result.Error (Printf.sprintf "%S has characters outside [A-Za-z0-9._-]" v)
+    else Ok v
+  in
+  { text with parse }
 
 (* [trace <id>] or [trace <id>/<parent-span>]: the optional suffix is
    the client's open span id; the server-side root phase records it as
    its parent so the merged trace chains across the process boundary. *)
-let parse_trace v =
-  let ( let* ) = Result.bind in
-  match String.index_opt v '/' with
-  | None ->
-      let* tid = check_id ~what:"trace" v in
-      Ok { tid; parent = None }
-  | Some i -> (
-      let* tid = check_id ~what:"trace" (String.sub v 0 i) in
-      let p = String.sub v (i + 1) (String.length v - i - 1) in
-      match int_of_string_opt p with
-      | Some s when s >= 0 -> Ok { tid; parent = Some s }
-      | Some _ | None ->
-          Result.Error
-            (Printf.sprintf "trace: parent span %S must be an integer >= 0" p))
-
-let trace_to_text { tid; parent } =
-  match parent with None -> tid | Some p -> Printf.sprintf "%s/%d" tid p
-
-let parse_request body =
-  let solver = ref None in
-  let deadline_ms = ref None in
-  let trace = ref None in
-  let rec fields = function
-    | [] -> Result.Error "request has no instance block"
-    | line :: rest -> (
-        match split_first line with
-        | "instance", "" ->
-            let text = String.concat "\n" rest in
-            Result.map_error Core.Instance_io.error_to_string
-              (Result.map
-                 (fun instance ->
-                   {
-                     solver = !solver;
-                     deadline_ms = !deadline_ms;
-                     trace = !trace;
-                     instance;
-                   })
-                 (Core.Instance_io.of_string_result text))
-        | "solver", v when v <> "" ->
-            solver := Some v;
-            fields rest
-        | "trace", v -> (
-            match parse_trace v with
-            | Ok tc ->
-                trace := Some tc;
-                fields rest
-            | Result.Error _ as e -> e)
-        | "deadline_ms", v -> (
-            match float_of_string_opt v with
-            | Some d when d >= 0.0 ->
-                deadline_ms := Some d;
-                fields rest
-            | Some _ | None ->
-                Result.Error
-                  (Printf.sprintf "deadline_ms: expected a number >= 0, got %S" v)
-        )
-        | "", _ -> fields rest
-        | key, _ ->
-            Result.Error (Printf.sprintf "unknown request field %S" key))
+let trace =
+  let parse v =
+    match String.index_opt v '/' with
+    | None -> Result.map (fun tid -> { tid; parent = None }) (id.parse v)
+    | Some i -> (
+        let* tid = id.parse (String.sub v 0 i) in
+        let p = String.sub v (i + 1) (String.length v - i - 1) in
+        match int_of_string_opt p with
+        | Some s when s >= 0 -> Ok { tid; parent = Some s }
+        | Some _ | None ->
+            Result.Error
+              (Printf.sprintf "parent span %S must be an integer >= 0" p))
   in
-  fields body
-
-(* A stats frame's body is an optional [format prometheus|json] field. *)
-let parse_stats body =
-  let rec fields format = function
-    | [] -> Ok (Stats format)
-    | line :: rest -> (
-        match split_first line with
-        | "format", v -> (
-            match stats_format_of_string v with
-            | Some f -> fields f rest
-            | None ->
-                Result.Error
-                  (Printf.sprintf "format: expected prometheus|json, got %S" v))
-        | "", _ -> fields format rest
-        | key, _ -> Result.Error (Printf.sprintf "unknown stats field %S" key))
+  let print { tid; parent } =
+    match parent with None -> tid | Some p -> Printf.sprintf "%s/%d" tid p
   in
-  fields Prometheus body
+  { parse; print = word print }
 
-(* An events frame's body is an optional [count N] cap and an optional
-   [level debug|info|warn|error] floor. *)
-let parse_events body =
-  let rec fields count min_level = function
-    | [] -> Ok (Events { count; min_level })
-    | line :: rest -> (
-        match split_first line with
-        | "count", v -> (
-            match int_of_string_opt v with
-            | Some n when n >= 1 -> fields (Some n) min_level rest
-            | Some _ | None ->
-                Result.Error
-                  (Printf.sprintf "count: expected an integer >= 1, got %S" v))
-        | "level", v -> (
-            match Obs.Event.level_of_string v with
-            | Some l -> fields count l rest
-            | None ->
-                Result.Error
-                  (Printf.sprintf
-                     "level: expected debug|info|warn|error, got %S" v))
-        | "", _ -> fields count min_level rest
-        | key, _ -> Result.Error (Printf.sprintf "unknown events field %S" key)
-      )
-  in
-  fields None Obs.Event.Debug body
+let deadline = number "a number >= 0" (fun d -> d >= 0.0)
+let seconds = number "0 < s <= 600" (fun s -> s > 0.0 && s <= 600.0)
+let rate = number "a number > 0" (fun r -> r > 0.0)
+let count = integer "an integer >= 1" (fun n -> n >= 1)
+let index = integer "an integer >= 0" (fun n -> n >= 0)
+let any_int = integer "an integer" (fun _ -> true)
 
-(* A health frame has no fields (yet); reject junk so a future field is
-   not silently ignored by old servers. *)
-let parse_health body =
-  let rec fields = function
-    | [] -> Ok Health
-    | line :: rest -> (
-        match split_first line with
-        | "", _ -> fields rest
-        | key, _ -> Result.Error (Printf.sprintf "unknown health field %S" key))
-  in
-  fields body
+let real = number "a number" (fun _ -> true)
+let makespan = { real with print = word (Printf.sprintf "%g") }
+let assignment = array (words any_int)
 
-let check_sid sid = check_id ~what:"id" sid
+let stats_format =
+  enum
+    (function Prometheus -> "prometheus" | Json -> "json")
+    [ Prometheus; Json ]
 
-(* An explain frame's body is a mandatory [id <trace-id>] field naming
-   the trace/request whose phase tree the server should render. *)
-let parse_explain body =
-  let id = ref None in
-  let rec fields = function
-    | [] -> (
-        match !id with
-        | Some i -> Ok (Explain i)
-        | None -> Result.Error "explain frame missing id")
-    | line :: rest -> (
-        match split_first line with
-        | "id", v -> (
-            match check_id ~what:"id" v with
-            | Ok i ->
-                id := Some i;
-                fields rest
-            | Result.Error _ as e -> e)
-        | "", _ -> fields rest
-        | key, _ -> Result.Error (Printf.sprintf "unknown explain field %S" key))
-  in
-  fields body
+let level =
+  enum Obs.Event.level_to_string Obs.Event.[ Debug; Info; Warn; Error ]
 
-(* A profile frame's body: an optional [action status|start|stop|capture],
-   [seconds F] (window length; implies capture when no action is given),
-   [mode cpu|alloc], [rate F], [format collapsed|json], and [id
-   <trace-id>] to keep only one request's samples. *)
-let parse_profile body =
-  let action = ref None in
-  let seconds = ref None in
-  let mode = ref Obs.Profile.Cpu in
-  let rate = ref None in
-  let format = ref Obs.Profile.Collapsed in
-  let filter = ref None in
-  let rec fields = function
-    | [] -> (
-        let paction =
-          match (!action, !seconds) with
-          | Some a, _ -> Ok a
-          | None, Some s -> Ok (P_capture s)
-          | None, None -> Ok P_status
-        in
-        match paction with
-        | Result.Error _ as e -> e
-        | Ok (P_capture _) when !seconds = None ->
-            Result.Error "capture requires a seconds field"
-        | Ok paction ->
-            let paction =
-              (* a seconds field upgrades a plain capture marker *)
-              match (paction, !seconds) with
-              | P_capture _, Some s -> P_capture s
-              | a, _ -> a
-            in
-            Ok
-              (Profile
-                 {
-                   paction;
-                   pmode = !mode;
-                   prate = !rate;
-                   pformat = !format;
-                   pfilter = !filter;
-                 }))
-    | line :: rest -> (
-        match split_first line with
-        | "action", v -> (
-            match v with
-            | "status" -> action := Some P_status; fields rest
-            | "start" -> action := Some P_start; fields rest
-            | "stop" -> action := Some P_stop; fields rest
-            | "capture" -> action := Some (P_capture 0.0); fields rest
-            | v ->
-                Result.Error
-                  (Printf.sprintf
-                     "action: expected status|start|stop|capture, got %S" v))
-        | "seconds", v -> (
-            match float_of_string_opt v with
-            | Some s when s > 0.0 && s <= 600.0 ->
-                seconds := Some s;
-                fields rest
-            | Some _ | None ->
-                Result.Error
-                  (Printf.sprintf "seconds: expected 0 < s <= 600, got %S" v))
-        | "mode", v -> (
-            match Obs.Profile.mode_of_string v with
-            | Ok m -> mode := m; fields rest
-            | Result.Error e -> Result.Error e)
-        | "rate", v -> (
-            match float_of_string_opt v with
-            | Some r when r > 0.0 -> rate := Some r; fields rest
-            | Some _ | None ->
-                Result.Error
-                  (Printf.sprintf "rate: expected a number > 0, got %S" v))
-        | "format", v -> (
-            match Obs.Profile.format_of_string v with
-            | Ok f -> format := f; fields rest
-            | Result.Error e -> Result.Error e)
-        | "id", v -> (
-            match check_id ~what:"id" v with
-            | Ok i -> filter := Some i; fields rest
-            | Result.Error _ as e -> e)
-        | "", _ -> fields rest
-        | key, _ -> Result.Error (Printf.sprintf "unknown profile field %S" key))
-  in
-  fields body
+let action =
+  enum profile_action_name [ P_status; P_start; P_stop; P_capture 0. ]
 
-let float_of_text s =
-  match s with "inf" -> Some infinity | _ -> float_of_string_opt s
+let mode = enum Obs.Profile.mode_to_string Obs.Profile.[ Cpu; Alloc ]
+let pformat = enum Obs.Profile.format_to_string Obs.Profile.[ Collapsed; Json ]
+let op = enum Fun.id [ "create"; "add-jobs"; "drop-jobs"; "resolve"; "close" ]
+let cache = enum (fun hit -> if hit then "hit" else "miss") [ true; false ]
+
+(* --- field getters ------------------------------------------------------ *)
+
+(* Getters read typed values out of a body's [(key, value)] pairs. Every
+   occurrence of a key must parse, and the last one wins. *)
+let rec get_last key c last = function
+  | [] -> Ok last
+  | (k, v) :: rest when k = key -> (
+      match c.parse v with
+      | Ok x -> get_last key c (Some x) rest
+      | Result.Error e -> Result.Error (key ^ ": " ^ e))
+  | _ :: rest -> get_last key c last rest
+
+let get fields key c = get_last key c None fields
+
+let get_or fields key c default =
+  Result.map (Option.value ~default) (get fields key c)
+
+let need ~missing fields key c =
+  match get fields key c with
+  | Ok (Some x) -> Ok x
+  | Ok None -> Result.Error (missing key)
+  | Result.Error e -> Result.Error e
+
+(* every occurrence, in line order: the repeated [job] and [jobs] lines *)
+let all fields key c =
+  parse_all
+    (fun v -> Result.map_error (( ^ ) (key ^ ": ")) (c.parse v))
+    (List.filter_map (fun (k, v) -> if k = key then Some v else None) fields)
+
+let only keys ~unknown fields =
+  match List.find_opt (fun (k, _) -> not (List.mem k keys)) fields with
+  | Some (k, _) -> Result.Error (unknown k)
+  | None -> Ok ()
 
 (* One [job] line of an add-jobs frame: space-separated [key=value]
    tokens — [size=5 class=1], optionally [ptimes=1,2,inf] (unrelated) or
-   [eligible=1,0,1] (restricted). *)
-let parse_job_spec rest =
-  let ( let* ) = Result.bind in
-  let tokens = String.split_on_char ' ' rest |> List.filter (( <> ) "") in
-  let parse_floats v =
-    let parts = String.split_on_char ',' v in
-    let rec go acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | s :: rest -> (
-          match float_of_text s with
-          | Some x -> go (x :: acc) rest
-          | None ->
-              Result.Error (Printf.sprintf "job: ptimes entry %S not a number" s))
+   [eligible=1,0,1] (restricted) — read with the same getters. *)
+let job =
+  let size = number "a finite number >= 0" (fun x -> x >= 0. && x < infinity) in
+  let ptimes = array (commas real) in
+  let eligible =
+    array (commas (enum (fun b -> if b then "1" else "0") [ false; true ]))
+  in
+  let key_value tok =
+    match String.index_opt tok '=' with
+    | None -> expected "key=value" tok
+    | Some i ->
+        let v = String.sub tok (i + 1) (String.length tok - i - 1) in
+        Ok (String.sub tok 0 i, v)
+  in
+  let parse v =
+    let* fields = parse_all key_value (tokens v) in
+    let* () =
+      only [ "size"; "class"; "ptimes"; "eligible" ]
+        ~unknown:(fun k -> Printf.sprintf "unknown key %S" k) fields
     in
-    go [] parts
+    let missing k = "missing " ^ k ^ "=..." in
+    let* nsize = need ~missing fields "size" size in
+    let* nclass = need ~missing fields "class" index in
+    let* nptimes = get fields "ptimes" ptimes in
+    let* neligible = get fields "eligible" eligible in
+    Ok { Core.Instance.nsize; nclass; nptimes; neligible }
   in
-  let parse_bools v =
-    let parts = String.split_on_char ',' v in
-    let rec go acc = function
-      | [] -> Ok (Array.of_list (List.rev acc))
-      | "1" :: rest -> go (true :: acc) rest
-      | "0" :: rest -> go (false :: acc) rest
-      | s :: _ ->
-          Result.Error
-            (Printf.sprintf "job: eligible entry %S must be 0 or 1" s)
-    in
-    go [] parts
+  let kv key c x = key ^ "=" ^ String.concat " " (c.print x) in
+  let opt key c = Option.fold ~none:[] ~some:(fun x -> [ kv key c x ]) in
+  let print (j : Core.Instance.new_job) =
+    kv "size" size j.nsize :: kv "class" index j.nclass
+    :: (opt "ptimes" ptimes j.nptimes @ opt "eligible" eligible j.neligible)
   in
-  let rec fields size cls ptimes eligible = function
-    | [] -> (
-        match (size, cls) with
-        | Some nsize, Some nclass ->
-            Ok
-              {
-                Core.Instance.nsize;
-                nclass;
-                nptimes = ptimes;
-                neligible = eligible;
-              }
-        | None, _ -> Result.Error "job: missing size=..."
-        | _, None -> Result.Error "job: missing class=...")
-    | tok :: rest -> (
-        match String.index_opt tok '=' with
-        | None ->
-            Result.Error (Printf.sprintf "job: expected key=value, got %S" tok)
-        | Some i -> (
-            let k = String.sub tok 0 i in
-            let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-            match k with
-            | "size" -> (
-                match float_of_text v with
-                | Some x when x >= 0.0 && x < infinity ->
-                    fields (Some x) cls ptimes eligible rest
-                | Some _ | None ->
-                    Result.Error
-                      (Printf.sprintf
-                         "job: size must be a finite number >= 0, got %S" v))
-            | "class" -> (
-                match int_of_string_opt v with
-                | Some k when k >= 0 -> fields size (Some k) ptimes eligible rest
-                | Some _ | None ->
-                    Result.Error
-                      (Printf.sprintf
-                         "job: class must be an integer >= 0, got %S" v))
-            | "ptimes" ->
-                let* p = parse_floats v in
-                fields size cls (Some p) eligible rest
-            | "eligible" ->
-                let* e = parse_bools v in
-                fields size cls ptimes (Some e) rest
-            | _ -> Result.Error (Printf.sprintf "job: unknown key %S" k)))
-  in
-  fields None None None None tokens
-
-(* A session frame: [op] and [id] fields followed by the op's payload —
-   an [instance] block (create), [job] lines (add-jobs), [jobs] index
-   lines (drop-jobs) or an optional [deadline_ms] (resolve). *)
-let parse_session body =
-  let ( let* ) = Result.bind in
-  let op = ref None in
-  let sid = ref None in
-  let deadline_ms = ref None in
-  let added = ref [] in
-  let dropped = ref [] in
-  let instance = ref None in
-  let trace = ref None in
-  let rec fields = function
-    | [] -> Ok ()
-    | line :: rest -> (
-        match split_first line with
-        | "op", v when v <> "" ->
-            op := Some v;
-            fields rest
-        | "id", v ->
-            let* id = check_sid v in
-            sid := Some id;
-            fields rest
-        | "trace", v ->
-            let* tc = parse_trace v in
-            trace := Some tc;
-            fields rest
-        | "instance", "" ->
-            let text = String.concat "\n" rest in
-            let* t =
-              Result.map_error Core.Instance_io.error_to_string
-                (Core.Instance_io.of_string_result text)
-            in
-            instance := Some t;
-            Ok ()
-        | "job", v ->
-            let* j = parse_job_spec v in
-            added := j :: !added;
-            fields rest
-        | "jobs", v ->
-            let words =
-              String.split_on_char ' ' v |> List.filter (( <> ) "")
-            in
-            let* ids =
-              try
-                Ok
-                  (List.map
-                     (fun w ->
-                       match int_of_string_opt w with
-                       | Some i when i >= 0 -> i
-                       | _ -> failwith w)
-                     words)
-              with Failure w ->
-                Result.Error
-                  (Printf.sprintf "jobs: expected integers >= 0, got %S" w)
-            in
-            dropped := !dropped @ ids;
-            fields rest
-        | "deadline_ms", v -> (
-            match float_of_text v with
-            | Some d when d >= 0.0 ->
-                deadline_ms := Some d;
-                fields rest
-            | Some _ | None ->
-                Result.Error
-                  (Printf.sprintf "deadline_ms: expected a number >= 0, got %S"
-                     v))
-        | "", _ -> fields rest
-        | key, _ -> Result.Error (Printf.sprintf "unknown session field %S" key)
-        )
-  in
-  let* () = fields body in
-  let* sid =
-    match !sid with
-    | Some s -> Ok s
-    | None -> Result.Error "session frame missing id"
-  in
-  let no_payload op_name =
-    if !instance <> None then
-      Result.Error (Printf.sprintf "%s takes no instance block" op_name)
-    else if !added <> [] then
-      Result.Error (Printf.sprintf "%s takes no job lines" op_name)
-    else if !dropped <> [] then
-      Result.Error (Printf.sprintf "%s takes no jobs line" op_name)
-    else Ok ()
-  in
-  let* op =
-    match !op with
-    | None -> Result.Error "session frame missing op"
-    | Some "create" -> (
-        match !instance with
-        | Some t when !added = [] && !dropped = [] -> Ok (S_create t)
-        | Some _ -> Result.Error "create takes only an instance block"
-        | None -> Result.Error "create needs an instance block")
-    | Some "add-jobs" -> (
-        match List.rev !added with
-        | [] -> Result.Error "add-jobs needs at least one job line"
-        | js when !instance = None && !dropped = [] -> Ok (S_add_jobs js)
-        | _ -> Result.Error "add-jobs takes only job lines")
-    | Some "drop-jobs" -> (
-        match !dropped with
-        | [] -> Result.Error "drop-jobs needs a jobs line"
-        | ids when !instance = None && !added = [] -> Ok (S_drop_jobs ids)
-        | _ -> Result.Error "drop-jobs takes only jobs lines")
-    | Some "resolve" ->
-        let* () = no_payload "resolve" in
-        Ok (S_resolve { deadline_ms = !deadline_ms })
-    | Some "close" ->
-        let* () = no_payload "close" in
-        Ok S_close
-    | Some v ->
-        Result.Error
-          (Printf.sprintf
-             "op: expected create|add-jobs|drop-jobs|resolve|close, got %S" v)
-  in
-  Ok (Session { sid; op; trace = !trace })
+  { parse; print }
 
 (* --- frames ------------------------------------------------------------- *)
 
@@ -560,22 +347,163 @@ let parse_session body =
    shares one parse path. *)
 type frame = { fheader : string; fbody : string list }
 
-let bad_request_header header =
-  Printf.sprintf
-    "bad request header %S (expected %S, %S, %S, %S, %S, %S or %S)" header
-    request_header stats_header events_header health_header explain_header
-    session_header profile_header
+let split_first line =
+  match String.index_opt line ' ' with
+  | None -> (line, "")
+  | Some i ->
+      ( String.sub line 0 i,
+        String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
 
-let incoming_of_frame { fheader = header; fbody = body } =
-  if header = request_header then
-    Result.map (fun req -> Solve req) (parse_request body)
-  else if header = stats_header then parse_stats body
-  else if header = events_header then parse_events body
-  else if header = health_header then parse_health body
-  else if header = explain_header then parse_explain body
-  else if header = session_header then parse_session body
-  else if header = profile_header then parse_profile body
-  else Result.Error (bad_request_header header)
+(* The one body scanner: each non-blank line is a [(key, value)] pair, in
+   line order. The first bare [block] line ([instance] in requests,
+   [payload] in replies) takes the rest of the body verbatim. *)
+let scan ?block body =
+  let rec go acc = function
+    | [] -> (List.rev acc, None)
+    | line :: rest -> (
+        match split_first line with
+        | "", _ -> go acc rest
+        | k, "" when Some k = block -> (List.rev acc, Some rest)
+        | kv -> go (kv :: acc) rest)
+  in
+  go [] body
+
+let instance_of lines =
+  Result.map_error Core.Instance_io.error_to_string
+    (Core.Instance_io.of_string_result (String.concat "\n" lines))
+
+let decode_solve fields block =
+  let* solver = get fields "solver" name in
+  let* deadline_ms = get fields "deadline_ms" deadline in
+  let* trace = get fields "trace" trace in
+  match block with
+  | None -> Result.Error "request has no instance block"
+  | Some lines ->
+      let* instance = instance_of lines in
+      Ok (Solve { solver; deadline_ms; trace; instance })
+
+let decode_stats fields _ =
+  let* format = get_or fields "format" stats_format Prometheus in
+  Ok (Stats format)
+
+let decode_events fields _ =
+  let* count = get fields "count" count in
+  let* min_level = get_or fields "level" level Obs.Event.Debug in
+  Ok (Events { count; min_level })
+
+let decode_explain fields _ =
+  let* i = need ~missing:(( ^ ) "explain frame missing ") fields "id" id in
+  Ok (Explain i)
+
+let decode_profile fields _ =
+  let* action = get fields "action" action in
+  let* seconds = get fields "seconds" seconds in
+  let* pmode = get_or fields "mode" mode Obs.Profile.Cpu in
+  let* prate = get fields "rate" rate in
+  let* pformat = get_or fields "format" pformat Obs.Profile.Collapsed in
+  let* pfilter = get fields "id" id in
+  (* a seconds field implies a capture, and a capture needs one *)
+  let* paction =
+    match (action, seconds) with
+    | (None | Some (P_capture _)), Some s -> Ok (P_capture s)
+    | Some (P_capture _), None ->
+        Result.Error "capture requires a seconds field"
+    | Some a, _ -> Ok a
+    | None, None -> Ok P_status
+  in
+  Ok (Profile { paction; pmode; prate; pformat; pfilter })
+
+(* [op] and [id], then the op's payload: an [instance] block (create),
+   [job] lines (add-jobs), [jobs] index lines (drop-jobs) or an optional
+   [deadline_ms] (resolve). Each op takes only its own payload. *)
+let decode_session fields block =
+  let* sid = get fields "id" id in
+  let* op_name = get fields "op" name in
+  let* trace = get fields "trace" trace in
+  let* deadline_ms = get fields "deadline_ms" deadline in
+  let* added = all fields "job" job in
+  let* dropped = Result.map List.concat (all fields "jobs" (words index)) in
+  let* instance =
+    match block with
+    | None -> Ok None
+    | Some lines -> Result.map Option.some (instance_of lines)
+  in
+  let required what = function
+    | Some x -> Ok x
+    | None -> Result.Error ("session frame missing " ^ what)
+  in
+  let* sid = required "id" sid in
+  let* op_name = required "op" op_name in
+  (* only the op that wins is checked against the op names *)
+  let* op = Result.map_error (( ^ ) "op: ") (op.parse op_name) in
+  let no_payload () =
+    if Option.is_some instance then
+      Result.Error (op ^ " takes no instance block")
+    else if added <> [] then Result.Error (op ^ " takes no job lines")
+    else if dropped <> [] then Result.Error (op ^ " takes no jobs line")
+    else Ok ()
+  in
+  let* op =
+    match (op, instance, added, dropped) with
+    | "create", Some t, [], [] -> Ok (S_create t)
+    | "create", Some _, _, _ ->
+        Result.Error "create takes only an instance block"
+    | "create", None, _, _ -> Result.Error "create needs an instance block"
+    | "add-jobs", _, [], _ ->
+        Result.Error "add-jobs needs at least one job line"
+    | "add-jobs", None, js, [] -> Ok (S_add_jobs js)
+    | "add-jobs", _, _, _ -> Result.Error "add-jobs takes only job lines"
+    | "drop-jobs", _, _, [] -> Result.Error "drop-jobs needs a jobs line"
+    | "drop-jobs", None, [], ids -> Ok (S_drop_jobs ids)
+    | "drop-jobs", _, _, _ -> Result.Error "drop-jobs takes only jobs lines"
+    | "resolve", _, _, _ ->
+        Result.map (fun () -> S_resolve { deadline_ms }) (no_payload ())
+    | _ -> Result.map (fun () -> S_close) (no_payload ())
+  in
+  Ok (Session { sid; op; trace })
+
+(* The header table: each request kind's header, its block marker, the
+   keys its body may carry, and its decoder. *)
+let kinds =
+  [
+    ( request_header,
+      Some "instance",
+      [ "solver"; "deadline_ms"; "trace" ],
+      decode_solve );
+    (stats_header, None, [ "format" ], decode_stats);
+    (events_header, None, [ "count"; "level" ], decode_events);
+    (health_header, None, [], fun _ _ -> Ok Health);
+    (explain_header, None, [ "id" ], decode_explain);
+    ( session_header,
+      Some "instance",
+      [ "op"; "id"; "trace"; "deadline_ms"; "job"; "jobs" ],
+      decode_session );
+    ( profile_header,
+      None,
+      [ "action"; "seconds"; "mode"; "rate"; "format"; "id" ],
+      decode_profile );
+  ]
+
+let expected_headers =
+  match List.rev_map (fun (h, _, _, _) -> Printf.sprintf "%S" h) kinds with
+  | last :: rest -> String.concat ", " (List.rev rest) ^ " or " ^ last
+  | [] -> ""
+
+let incoming_of_frame { fheader; fbody } =
+  match List.find_opt (fun (h, _, _, _) -> h = fheader) kinds with
+  | None ->
+      Result.Error
+        (Printf.sprintf "bad request header %S (expected %s)" fheader
+           expected_headers)
+  | Some (_, block, keys, decode) ->
+      let fields, block = scan ?block fbody in
+      (* reject junk, so a field a newer client sends is not silently
+         ignored by an older server; the kind is the header's first word *)
+      let unknown key =
+        Printf.sprintf "unknown %s field %S" (fst (split_first fheader)) key
+      in
+      let* () = only keys ~unknown fields in
+      decode fields block
 
 (* The one frame reader. A transport hands it trimmed lines — what
    [input_line]+[String.trim] yields — through [next_line]: blank lines
@@ -688,327 +616,208 @@ module Incremental = struct
   let truncated_error = truncated_error
 end
 
-(* --- request encoding ----------------------------------------------------- *)
+(* --- encoding ----------------------------------------------------------- *)
 
-let profile_action_name = function
-  | P_status -> "status"
-  | P_start -> "start"
-  | P_stop -> "stop"
-  | P_capture _ -> "capture"
+let field key c x = (key, c.print x)
+let opt key c = Option.fold ~none:[] ~some:(fun x -> [ field key c x ])
 
-let bools_to_text e =
-  String.concat "," (List.map (fun b -> if b then "1" else "0") (Array.to_list e))
-
-let floats_to_text p =
-  String.concat "," (List.map float_to_text (Array.to_list p))
-
-(* The inverse of {!incoming_of_frame}, written piece by piece to [emit]
-   so the channel writer needs no intermediate string; option-typed
-   fields are written only when set. *)
-let emit_incoming emit incoming =
+(* The one frame printer, for both directions: the header, each field as
+   its key and words, the block (the marker line, then its text ending in
+   a newline) and [end], handed piece by piece to [emit] so the channel
+   writers need no intermediate string. *)
+let print_frame emit (header, fields, block) =
   let line s =
     emit s;
     emit "\n"
   in
-  let field key value =
-    emit key;
-    emit " ";
-    line value
-  in
-  let opt key to_text = Option.iter (fun v -> field key (to_text v)) in
-  let instance i =
-    line "instance";
-    emit (Core.Instance_io.to_string i)
-  in
-  (match incoming with
-  | Solve req ->
-      line request_header;
-      opt "solver" Fun.id req.solver;
-      opt "deadline_ms" float_to_text req.deadline_ms;
-      opt "trace" trace_to_text req.trace;
-      instance req.instance
-  | Stats format ->
-      line stats_header;
-      field "format" (stats_format_to_string format)
-  | Events { count; min_level } ->
-      line events_header;
-      opt "count" string_of_int count;
-      field "level" (Obs.Event.level_to_string min_level)
-  | Health -> line health_header
-  | Explain id ->
-      line explain_header;
-      field "id" id
-  | Session r -> (
-      line session_header;
-      field "op" (session_op_name r.op);
-      field "id" r.sid;
-      opt "trace" trace_to_text r.trace;
-      match r.op with
-      | S_create i -> instance i
-      | S_add_jobs jobs ->
-          List.iter
-            (fun (j : Core.Instance.new_job) ->
-              field "job"
-                (Printf.sprintf "size=%s class=%d%s%s" (float_to_text j.nsize)
-                   j.nclass
-                   (Option.fold ~none:"" ~some:(fun p -> " ptimes=" ^ floats_to_text p)
-                      j.nptimes)
-                   (Option.fold ~none:""
-                      ~some:(fun e -> " eligible=" ^ bools_to_text e)
-                      j.neligible)))
-            jobs
-      | S_drop_jobs ids ->
-          line (String.concat " " ("jobs" :: List.map string_of_int ids))
-      | S_resolve { deadline_ms } -> opt "deadline_ms" float_to_text deadline_ms
-      | S_close -> ())
-  | Profile pr ->
-      line profile_header;
-      field "action" (profile_action_name pr.paction);
-      (match pr.paction with
-      | P_capture s -> field "seconds" (float_to_text s)
-      | P_status | P_start | P_stop -> ());
-      field "mode" (Obs.Profile.mode_to_string pr.pmode);
-      opt "rate" float_to_text pr.prate;
-      field "format" (Obs.Profile.format_to_string pr.pformat);
-      opt "id" Fun.id pr.pfilter);
+  line header;
+  List.iter
+    (fun (key, words) ->
+      emit key;
+      List.iter
+        (fun w ->
+          emit " ";
+          emit w)
+        words;
+      emit "\n")
+    fields;
+  Option.iter
+    (fun (marker, text) ->
+      line marker;
+      emit text;
+      if text <> "" && text.[String.length text - 1] <> '\n' then emit "\n")
+    block;
   line "end"
 
-let incoming_to_string incoming =
+let frame_to_string frame =
   let buf = Buffer.create 256 in
-  emit_incoming (Buffer.add_string buf) incoming;
+  print_frame (Buffer.add_string buf) frame;
   Buffer.contents buf
 
-let write_incoming oc incoming =
-  emit_incoming (output_string oc) incoming;
+let write_frame oc frame =
+  print_frame (output_string oc) frame;
   flush oc
 
+let instance_block i = Some ("instance", Core.Instance_io.to_string i)
+
+(* The inverse of {!incoming_of_frame}; option-typed fields are written
+   only when set. *)
+let incoming_frame = function
+  | Solve r ->
+      ( request_header,
+        opt "solver" name r.solver
+        @ opt "deadline_ms" deadline r.deadline_ms
+        @ opt "trace" trace r.trace,
+        instance_block r.instance )
+  | Stats f -> (stats_header, [ field "format" stats_format f ], None)
+  | Events { count = n; min_level } ->
+      ( events_header,
+        opt "count" count n @ [ field "level" level min_level ],
+        None )
+  | Health -> (health_header, [], None)
+  | Explain i -> (explain_header, [ field "id" id i ], None)
+  | Session r ->
+      let payload, block =
+        match r.op with
+        | S_create i -> ([], instance_block i)
+        | S_add_jobs js -> (List.map (field "job" job) js, None)
+        | S_drop_jobs ids -> ([ field "jobs" (words index) ids ], None)
+        | S_resolve { deadline_ms } ->
+            (opt "deadline_ms" deadline deadline_ms, None)
+        | S_close -> ([], None)
+      in
+      ( session_header,
+        field "op" op (session_op_name r.op)
+        :: field "id" id r.sid
+        :: (opt "trace" trace r.trace @ payload),
+        block )
+  | Profile p ->
+      let window =
+        match p.paction with
+        | P_capture s -> [ field "seconds" seconds s ]
+        | P_status | P_start | P_stop -> []
+      in
+      ( profile_header,
+        (field "action" action p.paction :: window)
+        @ (field "mode" mode p.pmode :: opt "rate" rate p.prate)
+        @ (field "format" pformat p.pformat :: opt "id" id p.pfilter),
+        None )
+
+let incoming_to_string incoming = frame_to_string (incoming_frame incoming)
+let write_incoming oc incoming = write_frame oc (incoming_frame incoming)
 let write_request oc req = write_incoming oc (Solve req)
 let write_session_request oc r = write_incoming oc (Session r)
 
 (* --- responses ---------------------------------------------------------- *)
 
-let response_to_string response =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf response_header;
-  Buffer.add_char buf '\n';
-  let payload body =
-    Buffer.add_string buf "payload\n";
-    Buffer.add_string buf body;
-    if body <> "" && body.[String.length body - 1] <> '\n' then
-      Buffer.add_char buf '\n'
+let reply_fields r =
+  [
+    field "solver" text r.solver;
+    field "cache" cache r.cache_hit;
+    field "degraded" bool r.degraded;
+    field "makespan" makespan r.makespan;
+    field "elapsed_us" any_int r.elapsed_us;
+    field "assignment" assignment r.assignment;
+  ]
+
+let response_frame response =
+  let reply status fields block =
+    (response_header, ("status", [ status ]) :: fields, block)
   in
-  (match response with
-  | Error message ->
-      Buffer.add_string buf "status error\n";
-      (* the message must stay a single line to preserve framing *)
-      let message =
-        String.map (fun c -> if c = '\n' || c = '\r' then ' ' else c) message
-      in
-      Printf.bprintf buf "error %s\n" message
+  (* a payload's lines never consist of the bare word "end": exposition
+     and health lines carry a space, JSON lines punctuation, collapsed
+     stacks "stack weight" — so the frame terminator stays unambiguous *)
+  let payload status fields body =
+    reply status fields (Some ("payload", body))
+  in
+  match response with
+  | Reply r -> reply "ok" (opt "trace" text r.trace @ reply_fields r) None
+  | Error m -> reply "error" [ field "error" message m ] None
   | Stats_reply { format; body } ->
-      Buffer.add_string buf "status stats\n";
-      Printf.bprintf buf "format %s\n" (stats_format_to_string format);
-      (* the payload is raw exposition text: its lines never consist of
-         the bare word "end" (Prometheus lines carry a space, JSON lines
-         punctuation), so the frame terminator stays unambiguous *)
-      payload body
-  | Events_reply { body } ->
-      Buffer.add_string buf "status events\n";
-      (* each payload line is a JSON object starting with '{', never the
-         bare frame terminator *)
-      payload body
-  | Health_reply { body } ->
-      Buffer.add_string buf "status health\n";
-      (* each payload line starts with a known key (status, meter, slo,
-         heartbeat, ...) followed by a space, never the bare "end" *)
-      payload body
-  | Explain_reply { body } ->
-      Buffer.add_string buf "status explain\n";
-      (* each payload line starts with a known key ([trace] or [phase])
-         followed by a space, never the bare "end" *)
-      payload body
-  | Profile_reply { body } ->
-      Buffer.add_string buf "status profile\n";
-      (* each payload line carries a space (collapsed lines are "stack
-         weight", status lines "key k=v ...", JSON objects punctuation),
-         never the bare "end" terminator *)
-      payload body
+      payload "stats" [ field "format" stats_format format ] body
+  | Events_reply { body } -> payload "events" [] body
+  | Health_reply { body } -> payload "health" [] body
+  | Explain_reply { body } -> payload "explain" [] body
+  | Profile_reply { body } -> payload "profile" [] body
   | Session_reply s ->
-      Buffer.add_string buf "status session\n";
-      Printf.bprintf buf "id %s\n" s.sid;
-      Printf.bprintf buf "op %s\n" s.op;
       (* one trace line per response: the echo lives on the session
          record, the embedded solve reply (when present) rides along *)
-      Option.iter (fun tr -> Printf.bprintf buf "trace %s\n" tr) s.trace;
-      Printf.bprintf buf "generation %d\n" s.generation;
-      Printf.bprintf buf "jobs %d\n" s.jobs;
-      Option.iter (fun m -> Printf.bprintf buf "mode %s\n" m) s.mode;
-      Option.iter
-        (fun (r : reply) ->
-          Printf.bprintf buf "solver %s\n" r.solver;
-          Printf.bprintf buf "cache %s\n" (if r.cache_hit then "hit" else "miss");
-          Printf.bprintf buf "degraded %b\n" r.degraded;
-          Printf.bprintf buf "makespan %g\n" r.makespan;
-          Printf.bprintf buf "elapsed_us %d\n" r.elapsed_us;
-          Buffer.add_string buf "assignment";
-          Array.iter (fun i -> Printf.bprintf buf " %d" i) r.assignment;
-          Buffer.add_char buf '\n')
-        s.solve
-  | Reply r ->
-      Buffer.add_string buf "status ok\n";
-      Option.iter (fun tr -> Printf.bprintf buf "trace %s\n" tr) r.trace;
-      Printf.bprintf buf "solver %s\n" r.solver;
-      Printf.bprintf buf "cache %s\n" (if r.cache_hit then "hit" else "miss");
-      Printf.bprintf buf "degraded %b\n" r.degraded;
-      Printf.bprintf buf "makespan %g\n" r.makespan;
-      Printf.bprintf buf "elapsed_us %d\n" r.elapsed_us;
-      Buffer.add_string buf "assignment";
-      Array.iter (fun i -> Printf.bprintf buf " %d" i) r.assignment;
-      Buffer.add_char buf '\n');
-  Buffer.add_string buf "end\n";
-  Buffer.contents buf
+      reply "session"
+        ([ field "id" text s.sid; field "op" text s.op ]
+        @ opt "trace" text s.trace
+        @ [
+            field "generation" any_int s.generation;
+            field "jobs" any_int s.jobs;
+          ]
+        @ opt "mode" text s.mode
+        @ Option.fold ~none:[] ~some:reply_fields s.solve)
+        None
 
-let write_response oc response =
-  output_string oc (response_to_string response);
-  flush oc
+let response_to_string response = frame_to_string (response_frame response)
+let write_response oc response = write_frame oc (response_frame response)
 
-let parse_reply fields =
-  let find key = List.assoc_opt key fields in
-  let require key =
-    match find key with
-    | Some v -> Ok v
-    | None -> Result.Error (Printf.sprintf "response missing field %S" key)
-  in
-  let ( let* ) = Result.bind in
-  let* solver = require "solver" in
-  let* cache = require "cache" in
-  let* cache_hit =
-    match cache with
-    | "hit" -> Ok true
-    | "miss" -> Ok false
-    | v -> Result.Error (Printf.sprintf "cache: expected hit|miss, got %S" v)
-  in
-  let* degraded_s = require "degraded" in
-  let* degraded =
-    match bool_of_string_opt degraded_s with
-    | Some b -> Ok b
-    | None ->
-        Result.Error (Printf.sprintf "degraded: expected a bool, got %S" degraded_s)
-  in
-  let* makespan_s = require "makespan" in
-  let* makespan =
-    match float_of_string_opt makespan_s with
-    | Some x -> Ok x
-    | None ->
-        Result.Error (Printf.sprintf "makespan: expected a number, got %S" makespan_s)
-  in
-  let* elapsed_s = require "elapsed_us" in
-  let* elapsed_us =
-    match int_of_string_opt elapsed_s with
-    | Some x -> Ok x
-    | None ->
-        Result.Error
-          (Printf.sprintf "elapsed_us: expected an integer, got %S" elapsed_s)
-  in
-  let* assignment_s = require "assignment" in
-  let* assignment =
-    let words =
-      String.split_on_char ' ' assignment_s |> List.filter (( <> ) "")
-    in
-    try Ok (Array.of_list (List.map int_of_string words))
-    with Failure _ -> Result.Error "assignment: expected integers"
-  in
-  let trace = find "trace" in
+let decode_reply fields =
+  let missing k = Printf.sprintf "response missing field %S" k in
+  let* solver = need ~missing fields "solver" text in
+  let* cache_hit = need ~missing fields "cache" cache in
+  let* degraded = need ~missing fields "degraded" bool in
+  let* makespan = need ~missing fields "makespan" makespan in
+  let* elapsed_us = need ~missing fields "elapsed_us" any_int in
+  let* assignment = need ~missing fields "assignment" assignment in
+  let* trace = get fields "trace" text in
   Ok { solver; cache_hit; degraded; makespan; elapsed_us; assignment; trace }
 
-let bad_response_header header =
-  Printf.sprintf "bad response header %S (expected %S)" header response_header
-
-(* the payload is every line after the marker, verbatim; the writer
-   guarantees a trailing newline, restored here so bodies roundtrip *)
-let payload_after_marker body =
-  let rec after = function
-    | [] -> None
-    | "payload" :: rest -> Some rest
-    | _ :: rest -> after rest
+(* a session reply carries solve fields if and only if it has a mode *)
+let decode_session_reply fields =
+  let missing k = Printf.sprintf "session response missing field %S" k in
+  let* sid = need ~missing fields "id" text in
+  let* op = need ~missing fields "op" text in
+  let* generation = need ~missing fields "generation" any_int in
+  let* jobs = need ~missing fields "jobs" any_int in
+  let* mode = get fields "mode" text in
+  let* trace = get fields "trace" text in
+  let* solve =
+    match mode with
+    | None -> Ok None
+    | Some _ -> Result.map Option.some (decode_reply fields)
   in
-  match after body with
-  | None -> None
-  | Some [] -> Some ""
-  | Some ls -> Some (String.concat "\n" ls ^ "\n")
+  Ok (Session_reply { sid; op; generation; jobs; mode; solve; trace })
 
-let response_of_frame { fheader = header; fbody = body } =
-  if header <> response_header then Result.Error (bad_response_header header)
+(* Replies skip keys they do not know. The payload is every line after
+   the marker, verbatim; the printer guarantees a trailing newline,
+   restored here so bodies round-trip. *)
+let response_of_frame { fheader; fbody } =
+  if fheader <> response_header then
+    Result.Error
+      (Printf.sprintf "bad response header %S (expected %S)" fheader
+         response_header)
   else
-    let fields = List.map split_first body in
-    match List.assoc_opt "status" fields with
-    | Some "error" ->
-        Ok
-          (Error
-             (Option.value ~default:"unspecified error"
-                (List.assoc_opt "error" fields)))
-    | Some "ok" -> (
-        match parse_reply fields with
-        | Ok r -> Ok (Reply r)
-        | Result.Error e -> Result.Error e)
-    | Some "stats" -> (
-        let format =
-          Option.bind (List.assoc_opt "format" fields) stats_format_of_string
+    let fields, payload = scan ~block:"payload" fbody in
+    let with_payload status reply =
+      match payload with
+      | None -> Result.Error (status ^ " response missing payload")
+      | Some [] -> Ok (reply "")
+      | Some lines -> Ok (reply (String.concat "\n" lines ^ "\n"))
+    in
+    let* status =
+      need ~missing:(( ^ ) "response missing ") fields "status" text
+    in
+    match status with
+    | "ok" -> Result.map (fun r -> Reply r) (decode_reply fields)
+    | "error" ->
+        let* m = get_or fields "error" message "unspecified error" in
+        Ok (Error m)
+    | "stats" ->
+        let* format =
+          need ~missing:(( ^ ) "stats response missing ") fields "format"
+            stats_format
         in
-        match format with
-        | None -> Result.Error "stats response missing format"
-        | Some format -> (
-            (* the payload is every line after the marker, verbatim *)
-            match payload_after_marker body with
-            | None -> Result.Error "stats response missing payload"
-            | Some body -> Ok (Stats_reply { format; body })))
-    | Some "events" -> (
-        match payload_after_marker body with
-        | None -> Result.Error "events response missing payload"
-        | Some body -> Ok (Events_reply { body }))
-    | Some "health" -> (
-        match payload_after_marker body with
-        | None -> Result.Error "health response missing payload"
-        | Some body -> Ok (Health_reply { body }))
-    | Some "explain" -> (
-        match payload_after_marker body with
-        | None -> Result.Error "explain response missing payload"
-        | Some body -> Ok (Explain_reply { body }))
-    | Some "profile" -> (
-        match payload_after_marker body with
-        | None -> Result.Error "profile response missing payload"
-        | Some body -> Ok (Profile_reply { body }))
-    | Some "session" ->
-        let ( let* ) = Result.bind in
-        let require key =
-          match List.assoc_opt key fields with
-          | Some v -> Ok v
-          | None ->
-              Result.Error
-                (Printf.sprintf "session response missing field %S" key)
-        in
-        let int_field key =
-          let* v = require key in
-          match int_of_string_opt v with
-          | Some x -> Ok x
-          | None ->
-              Result.Error
-                (Printf.sprintf "%s: expected an integer, got %S" key v)
-        in
-        let* sid = require "id" in
-        let* op = require "op" in
-        let* generation = int_field "generation" in
-        let* jobs = int_field "jobs" in
-        let mode = List.assoc_opt "mode" fields in
-        let trace = List.assoc_opt "trace" fields in
-        let* solve =
-          if mode = None then Ok None
-          else
-            let* r = parse_reply fields in
-            Ok (Some r)
-        in
-        Ok (Session_reply { sid; op; generation; jobs; mode; solve; trace })
-    | Some v -> Result.Error (Printf.sprintf "unknown status %S" v)
-    | None -> Result.Error "response missing status"
+        with_payload status (fun body -> Stats_reply { format; body })
+    | "events" -> with_payload status (fun body -> Events_reply { body })
+    | "health" -> with_payload status (fun body -> Health_reply { body })
+    | "explain" -> with_payload status (fun body -> Explain_reply { body })
+    | "profile" -> with_payload status (fun body -> Profile_reply { body })
+    | "session" -> decode_session_reply fields
+    | s -> Result.Error (Printf.sprintf "unknown status %S" s)
 
 let read_response ic = read_with response_of_frame ic

@@ -221,7 +221,32 @@
     {!read_response}) all hand trimmed lines to the same frame
     assembly, so framing, resync and truncation behave alike
     everywhere. Each direction has one encoder, {!incoming_to_string}
-    and {!response_to_string}; the channel writers are thin wrappers. *)
+    and {!response_to_string}; the channel writers are thin wrappers.
+
+    The codec is data. Each value type has one codec, a parser and a
+    printer (numbers with their accepted range, integers with a floor,
+    enums, ids, trace contexts, space- and comma-separated lists, the
+    [job] spec). One scanner turns a body into [key value] pairs in line
+    order, skipping blank lines; a bare [instance] (requests) or
+    [payload] (replies) line takes the rest of the body verbatim. A
+    header table gives each request kind its block marker, the keys it
+    accepts and its decoder, which reads its fields through shared
+    getters; replies decode by [status]. One printer writes the header,
+    each set field, the block and [end] for both directions. Decoding
+    rules:
+    - a request rejects a key outside its kind's list
+      ([unknown <kind> field "key"]); a reply skips keys it does not
+      know;
+    - every occurrence of a field must parse and the last one wins,
+      except that repeated [job] and [jobs] lines accumulate (and only
+      the winning [op] is checked against the op names);
+    - a bad value reads [<key>: expected <what>, got "<value>"] (ids and
+      trace contexts say which rule they break), a missing one names
+      the frame and the field;
+    - rules that span fields stay with their kind: a profile [seconds]
+      implies a capture and a capture needs one, each session op takes
+      only its own payload, and a session reply carries solve fields if
+      and only if it has a [mode]. *)
 
 val version : int
 

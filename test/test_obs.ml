@@ -1076,6 +1076,21 @@ let test_report_tables () =
   Alcotest.(check bool) "full table lists the counter" true
     (Astring.String.is_infix ~affix:"test.report" full)
 
+let test_profile_late_sigprof () =
+  (* A SIGPROF raised just before [stop] disarms the timer can be
+     delivered after [stop] has put the previous disposition back. In a
+     process whose previous disposition was the default, that delivery
+     would terminate it. *)
+  (match Obs.Profile.start Obs.Profile.Cpu with
+  | Error msg -> Alcotest.failf "cpu engine failed to start: %s" msg
+  | Ok () -> ());
+  Obs.Profile.stop ();
+  Unix.kill (Unix.getpid ()) Sys.sigprof;
+  Unix.sleepf 0.01;
+  Alcotest.(check bool) "stopped engine survives a late SIGPROF" true
+    (Astring.String.is_infix ~affix:"running=false"
+       (List.hd (Obs.Profile.status_lines ())))
+
 let () =
   Alcotest.run "obs"
     [
@@ -1156,6 +1171,8 @@ let () =
             test_profile_collapse_invariance;
           Alcotest.test_case "4-domain hammer while sampling" `Quick
             test_profile_hammer;
+          Alcotest.test_case "late SIGPROF after stop" `Quick
+            test_profile_late_sigprof;
         ] );
       ( "integration",
         [

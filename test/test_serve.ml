@@ -1751,6 +1751,344 @@ let test_incremental_truncation () =
     (Astring.String.is_infix ~affix:"end"
        Serve.Proto.Incremental.truncated_error)
 
+(* --- golden wire bytes ------------------------------------------------------ *)
+
+(* The exact bytes of one value of every request kind, session op, profile
+   action and reply status, and one malformed frame per fault with the
+   verdict and error text it gets — pinned so a codec rewrite cannot drift
+   the wire. A 2-job instance keeps the text short. *)
+let golden_instance_text =
+  "# setup-scheduling instance\nenv identical\nmachines 2\nclasses 1\n\
+   setups 3\njobs 2\nsizes 5 7\njob_class 0 0\n"
+
+let golden_frame header lines =
+  String.concat "" (List.map (fun l -> l ^ "\n") ((header :: lines) @ [ "end" ]))
+
+let golden_instance_lines =
+  List.filter (( <> ) "") (String.split_on_char '\n' golden_instance_text)
+
+let golden_incomings () =
+  let open Serve.Proto in
+  let instance = Core.Instance_io.of_string golden_instance_text in
+  let inst = "instance\n" ^ golden_instance_text in
+  let session ?trace sid op = Session { sid; op; trace } in
+  let profile ?(pmode = Obs.Profile.Cpu) ?prate ?(pformat = Obs.Profile.Collapsed)
+      ?pfilter paction =
+    Profile { paction; pmode; prate; pformat; pfilter }
+  in
+  [
+    ( Solve
+        {
+          solver = Some "exact";
+          deadline_ms = Some 12.5;
+          trace = Some { tid = "lg7.3"; parent = Some 12 };
+          instance;
+        },
+      "request v1\nsolver exact\ndeadline_ms 12.5\ntrace lg7.3/12\n" ^ inst
+      ^ "end\n" );
+    ( Solve { solver = None; deadline_ms = Some infinity; trace = None; instance },
+      "request v1\ndeadline_ms inf\n" ^ inst ^ "end\n" );
+    (Stats Json, "stats v1\nformat json\nend\n");
+    (Stats Prometheus, "stats v1\nformat prometheus\nend\n");
+    ( Events { count = Some 50; min_level = Obs.Event.Warn },
+      "events v1\ncount 50\nlevel warn\nend\n" );
+    (Health, "health v1\nend\n");
+    (Explain "lg7.3", "explain v1\nid lg7.3\nend\n");
+    ( session ~trace:{ tid = "lg1"; parent = None } "s-1" (S_create instance),
+      "session v1\nop create\nid s-1\ntrace lg1\n" ^ inst ^ "end\n" );
+    ( session "s-1"
+        (S_add_jobs
+           [
+             {
+               Core.Instance.nsize = 4.0;
+               nclass = 0;
+               nptimes = Some [| 1.5; infinity |];
+               neligible = None;
+             };
+             {
+               Core.Instance.nsize = 2.0;
+               nclass = 1;
+               nptimes = None;
+               neligible = Some [| true; false |];
+             };
+           ]),
+      "session v1\nop add-jobs\nid s-1\njob size=4 class=0 ptimes=1.5,inf\n\
+       job size=2 class=1 eligible=1,0\nend\n" );
+    ( session "s-1" (S_drop_jobs [ 0; 1 ]),
+      "session v1\nop drop-jobs\nid s-1\njobs 0 1\nend\n" );
+    ( session ~trace:{ tid = "lg1"; parent = Some 3 } "s-1"
+        (S_resolve { deadline_ms = Some 40.0 }),
+      "session v1\nop resolve\nid s-1\ntrace lg1/3\ndeadline_ms 40\nend\n" );
+    ( session "s-1" (S_resolve { deadline_ms = None }),
+      "session v1\nop resolve\nid s-1\nend\n" );
+    (session "s-1" S_close, "session v1\nop close\nid s-1\nend\n");
+    ( profile P_status,
+      "profile v1\naction status\nmode cpu\nformat collapsed\nend\n" );
+    ( profile ~pmode:Obs.Profile.Alloc ~prate:0.25 P_start,
+      "profile v1\naction start\nmode alloc\nrate 0.25\nformat collapsed\nend\n"
+    );
+    ( profile ~pformat:Obs.Profile.Json ~pfilter:"lg1.3" P_stop,
+      "profile v1\naction stop\nmode cpu\nformat json\nid lg1.3\nend\n" );
+    ( profile ~prate:99.0 (P_capture 5.0),
+      "profile v1\naction capture\nseconds 5\nmode cpu\nrate 99\n\
+       format collapsed\nend\n" );
+  ]
+
+let golden_responses () =
+  let open Serve.Proto in
+  let solved ?trace assignment =
+    {
+      solver = "incremental-repair";
+      cache_hit = false;
+      degraded = false;
+      makespan = 12.0;
+      elapsed_us = 210;
+      assignment;
+      trace;
+    }
+  in
+  [
+    ( Reply
+        {
+          solver = "exact";
+          cache_hit = true;
+          degraded = false;
+          makespan = 117.06;
+          elapsed_us = 1834;
+          assignment = [| 0; 1 |];
+          trace = Some "lg7.3";
+        },
+      "response v1\nstatus ok\ntrace lg7.3\nsolver exact\ncache hit\n\
+       degraded false\nmakespan 117.06\nelapsed_us 1834\nassignment 0 1\nend\n"
+    );
+    ( Reply { (solved [||]) with solver = "greedy"; degraded = true; makespan = 0.0 },
+      "response v1\nstatus ok\nsolver greedy\ncache miss\ndegraded true\n\
+       makespan 0\nelapsed_us 210\nassignment\nend\n" );
+    ( Session_reply
+        {
+          sid = "s-1";
+          op = "add-jobs";
+          generation = 1;
+          jobs = 4;
+          mode = None;
+          solve = None;
+          trace = Some "lg1";
+        },
+      "response v1\nstatus session\nid s-1\nop add-jobs\ntrace lg1\n\
+       generation 1\njobs 4\nend\n" );
+    ( Session_reply
+        {
+          sid = "s-1";
+          op = "resolve";
+          generation = 3;
+          jobs = 2;
+          mode = Some "repair";
+          solve = Some (solved [| 1; 0 |]);
+          trace = None;
+        },
+      "response v1\nstatus session\nid s-1\nop resolve\ngeneration 3\njobs 2\n\
+       mode repair\nsolver incremental-repair\ncache miss\ndegraded false\n\
+       makespan 12\nelapsed_us 210\nassignment 1 0\nend\n" );
+    ( Error "bad\nthings\rhappened",
+      "response v1\nstatus error\nerror bad things happened\nend\n" );
+    (Error "", "response v1\nstatus error\nerror \nend\n");
+    ( Stats_reply { format = Prometheus; body = "# TYPE x counter\nx 1\n" },
+      "response v1\nstatus stats\nformat prometheus\npayload\n\
+       # TYPE x counter\nx 1\nend\n" );
+    ( Stats_reply { format = Json; body = "{}" },
+      "response v1\nstatus stats\nformat json\npayload\n{}\nend\n" );
+    ( Events_reply { body = "{\"level\":\"info\"}" },
+      "response v1\nstatus events\npayload\n{\"level\":\"info\"}\nend\n" );
+    ( Health_reply { body = "status ok\nliveness ok\n" },
+      "response v1\nstatus health\npayload\nstatus ok\nliveness ok\nend\n" );
+    ( Explain_reply { body = "" },
+      "response v1\nstatus explain\npayload\nend\n" );
+    ( Profile_reply { body = "a;b 3\n" },
+      "response v1\nstatus profile\npayload\na;b 3\nend\n" );
+  ]
+
+let decode_one of_frame text =
+  match incremental_decode of_frame [ text ] with
+  | [ r ] -> r
+  | rs -> Alcotest.failf "%d frames decoded from %S" (List.length rs) text
+
+let test_proto_golden_encode () =
+  List.iter
+    (fun (v, bytes) ->
+      Alcotest.(check string) "request bytes" bytes
+        (Serve.Proto.incoming_to_string v);
+      Alcotest.(check (result string string)) "request decodes back" (Ok bytes)
+        (Result.map Serve.Proto.incoming_to_string
+           (decode_one Serve.Proto.incoming_of_frame bytes)))
+    (golden_incomings ());
+  List.iter
+    (fun (v, bytes) ->
+      Alcotest.(check string) "reply bytes" bytes
+        (Serve.Proto.response_to_string v);
+      Alcotest.(check (result string string)) "reply decodes back" (Ok bytes)
+        (Result.map Serve.Proto.response_to_string
+           (decode_one Serve.Proto.response_of_frame bytes)))
+    (golden_responses ())
+
+(* One malformed frame per fault: [Ok] carries the bytes the decoded value
+   re-encodes to, [Error] the error text. *)
+let golden_request_verdicts =
+  let inst = "instance" :: golden_instance_lines in
+  let job_frame spec = golden_frame "session v1" [ "op add-jobs"; "id x"; "job " ^ spec ] in
+  [
+    (golden_frame "request v1" ("solver" :: inst), Error {|solver: expected a name, got ""|});
+    ( golden_frame "request v1" ("deadline_ms -1" :: inst),
+      Error {|deadline_ms: expected a number >= 0, got "-1"|} );
+    ( golden_frame "request v1" ("deadline_ms soon" :: inst),
+      Error {|deadline_ms: expected a number >= 0, got "soon"|} );
+    ( golden_frame "request v1" ("trace lg/x" :: inst),
+      Error {|trace: parent span "x" must be an integer >= 0|} );
+    ( golden_frame "request v1" ("trace a b" :: inst),
+      Error {|trace: "a b" has characters outside [A-Za-z0-9._-]|} );
+    (golden_frame "request v1" ("trace" :: inst), Error "trace: must not be empty");
+    (golden_frame "request v1" ("color red" :: inst), Error {|unknown request field "color"|});
+    (golden_frame "request v1" [ "solver exact" ], Error "request has no instance block");
+    ( golden_frame "request v1" [ "instance"; "env identical"; "machines x" ],
+      Error "line 2: machines: expected an integer, got \"x\"" );
+    (golden_frame "stats v1" [ "format xml" ], Error {|format: expected prometheus|json, got "xml"|});
+    (golden_frame "stats v1" [ "color red" ], Error {|unknown stats field "color"|});
+    (golden_frame "events v1" [ "count 0" ], Error {|count: expected an integer >= 1, got "0"|});
+    ( golden_frame "events v1" [ "level loud" ],
+      Error {|level: expected debug|info|warn|error, got "loud"|} );
+    (golden_frame "events v1" [ "color red" ], Error {|unknown events field "color"|});
+    ( golden_frame "events v1" [ "count x"; "count 3" ],
+      Error {|count: expected an integer >= 1, got "x"|} );
+    (golden_frame "events v1" [], Ok "events v1\nlevel debug\nend\n");
+    ( golden_frame "events v1" [ "count 3"; ""; "count 5" ],
+      Ok "events v1\ncount 5\nlevel debug\nend\n" );
+    (golden_frame "health v1" [ "color red" ], Error {|unknown health field "color"|});
+    ( golden_frame "explain v1" [ "id a/b" ],
+      Error {|id: "a/b" has characters outside [A-Za-z0-9._-]|} );
+    (golden_frame "explain v1" [], Error "explain frame missing id");
+    (golden_frame "explain v1" [ "id x"; "color red" ], Error {|unknown explain field "color"|});
+    ( golden_frame "session v1" [ "op explode"; "id x" ],
+      Error {|op: expected create|add-jobs|drop-jobs|resolve|close, got "explode"|} );
+    (golden_frame "session v1" [ "op"; "id x" ], Error {|op: expected a name, got ""|});
+    ( golden_frame "session v1" [ "op explode"; "op close"; "id x" ],
+      Ok "session v1\nop close\nid x\nend\n" );
+    ( golden_frame "session v1" [ "op close"; "id a b" ],
+      Error {|id: "a b" has characters outside [A-Za-z0-9._-]|} );
+    ( golden_frame "session v1" [ "op close"; "id x"; "trace t/-1" ],
+      Error {|trace: parent span "-1" must be an integer >= 0|} );
+    ( golden_frame "session v1" [ "op resolve"; "id x"; "deadline_ms -5" ],
+      Error {|deadline_ms: expected a number >= 0, got "-5"|} );
+    ( golden_frame "session v1" [ "op drop-jobs"; "id x"; "jobs 1 x" ],
+      Error {|jobs: expected an integer >= 0, got "x"|} );
+    (job_frame "size=x class=0", Error {|job: size: expected a finite number >= 0, got "x"|});
+    (job_frame "size=inf class=0", Error {|job: size: expected a finite number >= 0, got "inf"|});
+    (job_frame "size=1 class=-1", Error {|job: class: expected an integer >= 0, got "-1"|});
+    (job_frame "size=1 class=0 ptimes=1,x", Error {|job: ptimes: expected a number, got "x"|});
+    (job_frame "size=1 class=0 eligible=1,2", Error {|job: eligible: expected 0|1, got "2"|});
+    (job_frame "size=1 class=0 color=red", Error {|job: unknown key "color"|});
+    (job_frame "size=1 class", Error {|job: expected key=value, got "class"|});
+    (job_frame "class=0", Error "job: missing size=...");
+    (job_frame "size=1", Error "job: missing class=...");
+    ( golden_frame "session v1" [ "op close"; "id x"; "color red" ],
+      Error {|unknown session field "color"|} );
+    (golden_frame "session v1" [ "op close" ], Error "session frame missing id");
+    (golden_frame "session v1" [ "id x" ], Error "session frame missing op");
+    (golden_frame "session v1" [ "op create"; "id x" ], Error "create needs an instance block");
+    ( golden_frame "session v1" ([ "op create"; "id x"; "job size=1 class=0" ] @ inst),
+      Error "create takes only an instance block" );
+    (golden_frame "session v1" [ "op add-jobs"; "id x" ], Error "add-jobs needs at least one job line");
+    ( golden_frame "session v1" [ "op add-jobs"; "id x"; "job size=1 class=0"; "jobs 1" ],
+      Error "add-jobs takes only job lines" );
+    (golden_frame "session v1" [ "op drop-jobs"; "id x" ], Error "drop-jobs needs a jobs line");
+    ( golden_frame "session v1" [ "op drop-jobs"; "id x"; "jobs 1"; "job size=1 class=0" ],
+      Error "drop-jobs takes only jobs lines" );
+    ( golden_frame "session v1" ([ "op resolve"; "id x" ] @ inst),
+      Error "resolve takes no instance block" );
+    ( golden_frame "session v1" [ "op resolve"; "id x"; "job size=1 class=0" ],
+      Error "resolve takes no job lines" );
+    (golden_frame "session v1" [ "op close"; "id x"; "jobs 1" ], Error "close takes no jobs line");
+    ( golden_frame "session v1" [ "op drop-jobs"; "id x"; "jobs 2"; "jobs 0 1" ],
+      Ok "session v1\nop drop-jobs\nid x\njobs 2 0 1\nend\n" );
+    ( golden_frame "session v1" [ "op resolve"; "id x"; "jobs" ],
+      Ok "session v1\nop resolve\nid x\nend\n" );
+    ( golden_frame "profile v1" [ "action go" ],
+      Error {|action: expected status|start|stop|capture, got "go"|} );
+    (golden_frame "profile v1" [ "seconds 0" ], Error {|seconds: expected 0 < s <= 600, got "0"|});
+    (golden_frame "profile v1" [ "mode gpu" ], Error {|mode: expected cpu|alloc, got "gpu"|});
+    (golden_frame "profile v1" [ "rate 0" ], Error {|rate: expected a number > 0, got "0"|});
+    ( golden_frame "profile v1" [ "format svg" ],
+      Error {|format: expected collapsed|json, got "svg"|} );
+    ( golden_frame "profile v1" [ "id a b" ],
+      Error {|id: "a b" has characters outside [A-Za-z0-9._-]|} );
+    (golden_frame "profile v1" [ "color red" ], Error {|unknown profile field "color"|});
+    (golden_frame "profile v1" [ "action capture" ], Error "capture requires a seconds field");
+    ( golden_frame "profile v1" [ "seconds 2" ],
+      Ok "profile v1\naction capture\nseconds 2\nmode cpu\nformat collapsed\nend\n" );
+    ( golden_frame "profile v1" [ "action stop"; "seconds 2" ],
+      Ok "profile v1\naction stop\nmode cpu\nformat collapsed\nend\n" );
+    ( golden_frame "request v9" [ "junk" ],
+      Error
+        {|bad request header "request v9" (expected "request v1", "stats v1", "events v1", "health v1", "explain v1", "session v1" or "profile v1")|}
+    );
+  ]
+
+let golden_reply_verdicts =
+  let ok_fields =
+    [ "solver exact"; "cache hit"; "degraded false"; "makespan 5"; "elapsed_us 9"; "assignment 0 1" ]
+  in
+  let ok_with key value =
+    golden_frame "response v1"
+      ("status ok"
+      :: List.map
+           (fun l -> if String.starts_with ~prefix:(key ^ " ") l then key ^ " " ^ value else l)
+           ok_fields)
+  in
+  let session_fields = [ "status session"; "id s"; "op resolve"; "generation 2"; "jobs 2" ] in
+  [
+    (golden_frame "response v1" [ "solver exact" ], Error "response missing status");
+    (golden_frame "response v1" [ "status weird" ], Error {|unknown status "weird"|});
+    ( golden_frame "response v1"
+        ("status ok" :: List.filter (fun l -> not (String.starts_with ~prefix:"makespan" l)) ok_fields),
+      Error {|response missing field "makespan"|} );
+    (ok_with "cache" "maybe", Error {|cache: expected hit|miss, got "maybe"|});
+    (ok_with "degraded" "yes", Error {|degraded: expected a bool, got "yes"|});
+    (ok_with "makespan" "x", Error {|makespan: expected a number, got "x"|});
+    (ok_with "elapsed_us" "x", Error {|elapsed_us: expected an integer, got "x"|});
+    (ok_with "assignment" "0 x", Error {|assignment: expected an integer, got "x"|});
+    (golden_frame "response v1" [ "status stats"; "payload"; "x 1" ], Error "stats response missing format");
+    ( golden_frame "response v1" [ "status stats"; "format xml"; "payload"; "x 1" ],
+      Error {|format: expected prometheus|json, got "xml"|} );
+    (golden_frame "response v1" [ "status stats"; "format json" ], Error "stats response missing payload");
+    (golden_frame "response v1" [ "status events" ], Error "events response missing payload");
+    (golden_frame "response v1" [ "status health" ], Error "health response missing payload");
+    (golden_frame "response v1" [ "status explain" ], Error "explain response missing payload");
+    (golden_frame "response v1" [ "status profile" ], Error "profile response missing payload");
+    ( golden_frame "response v1" (List.filter (( <> ) "id s") session_fields),
+      Error {|session response missing field "id"|} );
+    ( golden_frame "response v1"
+        (List.map (fun l -> if l = "generation 2" then "generation x" else l) session_fields),
+      Error {|generation: expected an integer, got "x"|} );
+    ( golden_frame "response v1" (session_fields @ [ "mode repair" ]),
+      Error {|response missing field "solver"|} );
+    ( golden_frame "response v9" [ "status ok" ],
+      Error {|bad response header "response v9" (expected "response v1")|} );
+    ( golden_frame "response v1" [ "status error" ],
+      Ok "response v1\nstatus error\nerror unspecified error\nend\n" );
+  ]
+
+let test_proto_golden_decode () =
+  List.iter
+    (fun (text, verdict) ->
+      Alcotest.(check (result string string)) text verdict
+        (Result.map Serve.Proto.incoming_to_string
+           (decode_one Serve.Proto.incoming_of_frame text)))
+    golden_request_verdicts;
+  List.iter
+    (fun (text, verdict) ->
+      Alcotest.(check (result string string)) text verdict
+        (Result.map Serve.Proto.response_to_string
+           (decode_one Serve.Proto.response_of_frame text)))
+    golden_reply_verdicts
+
 (* --- wire round-trip property ----------------------------------------------- *)
 
 (* Every frame kind, encoded by the one encoder of its direction, decodes
@@ -1890,6 +2228,88 @@ let prop_wire_roundtrip =
         channel_incomings ins cut_in
       && check Serve.Proto.response_to_string Serve.Proto.response_of_frame
            channel_responses outs cut_out)
+
+(* Any mutation of a valid frame decodes to [Ok] or [Error] without
+   raising, and a valid frame written after it still decodes, on both
+   read paths. A mutation truncates or replaces a token of one line, or
+   drops, duplicates or blanks one body line. The [end] terminator is
+   left alone, and so are the header's presence and position: losing
+   either merges the frame with the next one, which is the framing's
+   contract rather than a decode fault. *)
+let mutation_gen frames =
+  let open QCheck.Gen in
+  let tokens =
+    [ ""; "x"; "-1"; "0"; "1"; "inf"; "nan"; "1e999"; "0x1f"; "1_0";
+      "99999999999999999999"; "instance"; "payload"; "status"; "op"; "id";
+      "job"; "jobs"; "trace"; "a/b"; "size=-1"; "class=x"; "ptimes=,";
+      "eligible=2"; "key"; "=" ]
+  in
+  pair (frames >>= oneofl) (frames >>= oneofl) >>= fun (victim, valid) ->
+  int_bound 1_000_000 >>= fun r1 ->
+  int_bound 1_000_000 >>= fun r2 ->
+  oneofl tokens >>= fun replacement ->
+  int_bound 4 >>= fun kind -> return (victim, valid, r1, r2, replacement, kind)
+
+let mutate text r1 r2 replacement kind =
+  let lines =
+    match List.rev (String.split_on_char '\n' text) with
+    | "" :: "end" :: rev_body -> List.rev rev_body
+    | _ -> invalid_arg "mutate: not an encoded frame"
+  in
+  let n = List.length lines in
+  let i = if kind >= 2 && n > 1 then 1 + (r1 mod (n - 1)) else r1 mod n in
+  let edit_token f line =
+    let words = Array.of_list (String.split_on_char ' ' line) in
+    let j = r2 mod Array.length words in
+    words.(j) <- f words.(j);
+    String.concat " " (Array.to_list words)
+  in
+  let mutated =
+    List.concat
+      (List.mapi
+         (fun k line ->
+           if k <> i then [ line ]
+           else
+             match kind with
+             | 0 -> [ edit_token (fun w -> String.sub w 0 (r2 mod (String.length w + 1))) line ]
+             | 1 -> [ edit_token (fun _ -> replacement) line ]
+             | 2 when i > 0 -> []
+             | 3 -> [ line; line ]
+             | _ when i > 0 -> [ "" ]
+             | _ -> [ line ])
+         lines)
+  in
+  String.concat "" (List.map (fun l -> l ^ "\n") (mutated @ [ "end" ]))
+
+let prop_wire_mutations =
+  let incomings, responses = wire_gens in
+  let check encode of_frame channel (victim, valid, r1, r2, replacement, kind) =
+    let bad = mutate (encode victim) r1 r2 replacement kind in
+    let text = bad ^ encode valid in
+    let last = function
+      | [] -> None
+      | rs -> Some (List.nth rs (List.length rs - 1))
+    in
+    match
+      ( last (incremental_decode of_frame [ text ]),
+        last (channel text) )
+    with
+    | exception e ->
+        QCheck.Test.fail_reportf "decoding %S raised %s" bad (Printexc.to_string e)
+    | Some (Ok a), Some (Ok b) -> encode a = encode valid && encode b = encode valid
+    | _ -> QCheck.Test.fail_reportf "the valid frame after %S did not decode" bad
+  in
+  QCheck.Test.make ~name:"mutated frames decode without raising" ~count:2000
+    (QCheck.make
+       ~print:(fun ((v, _, r1, r2, rep, kind), _) ->
+         Printf.sprintf "%S r1=%d r2=%d replacement=%S kind=%d"
+           (Serve.Proto.incoming_to_string v) r1 r2 rep kind)
+       QCheck.Gen.(pair (mutation_gen incomings) (mutation_gen responses)))
+    (fun (inc, resp) ->
+      check Serve.Proto.incoming_to_string Serve.Proto.incoming_of_frame
+        channel_incomings inc
+      && check Serve.Proto.response_to_string Serve.Proto.response_of_frame
+           channel_responses resp)
 
 (* --- generational prehash ------------------------------------------------- *)
 
@@ -2076,21 +2496,24 @@ let test_mux_tcp_pipeline () =
         (Astring.String.is_infix ~affix:"serve_requests" body)
   | _ -> Alcotest.fail "expected a stats reply after the error"
 
-let test_mux_sheds_under_overload () =
-  (* one pool worker, a queue of 2. The worker is parked before the
-     burst, so the loop admits and sheds all 7 pipelined frames before
-     any solve can finish: 1 admitted and dispatched, 2 admitted and
-     queued, 4 shed with degraded replies. Released, the worker solves
-     the first frame and the queued two hit the cache it filled. Every
-     frame gets exactly one in-order answer. *)
+let wait_until what cond =
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.failf "timed out waiting for %s" what;
+    Unix.sleepf 0.001
+  done
+
+(* A mux on loopback over a pool with one worker, parked before [f] runs,
+   so every frame [f] pipelines is admitted or shed before any solve can
+   finish. [f] gets the port and the function that releases the worker. *)
+let with_parked_mux ~max_pending f =
   let server =
     Serve.Server.create
       { Serve.Server.default_config with cache_capacity = 8; jobs = 2 }
   in
   let mux =
-    Serve.Mux.create
-      ~config:{ Serve.Mux.default_config with max_pending = 2 }
-      server
+    Serve.Mux.create ~config:{ Serve.Mux.default_config with max_pending } server
   in
   let port =
     match Serve.Mux.add_tcp mux ~host:"127.0.0.1" ~port:0 with
@@ -2111,15 +2534,17 @@ let test_mux_sheds_under_overload () =
       while not (Atomic.get release) do
         Unix.sleepf 0.001
       done);
-  let wait_until what cond =
-    let deadline = Unix.gettimeofday () +. 30.0 in
-    while not (cond ()) do
-      if Unix.gettimeofday () > deadline then
-        Alcotest.failf "timed out waiting for %s" what;
-      Unix.sleepf 0.001
-    done
-  in
   wait_until "the worker to park" (fun () -> Atomic.get parked);
+  f port (fun () -> Atomic.set release true)
+
+let test_mux_sheds_under_overload () =
+  (* one pool worker, a queue of 2. The worker is parked before the
+     burst, so the loop admits and sheds all 7 pipelined frames before
+     any solve can finish: 1 admitted and dispatched, 2 admitted and
+     queued, 4 shed with degraded replies. Released, the worker solves
+     the first frame and the queued two hit the cache it filled. Every
+     frame gets exactly one in-order answer. *)
+  with_parked_mux ~max_pending:2 @@ fun port release ->
   let admission = Obs.Labeled.family "serve.mux.admission" ~label:"outcome" in
   let outcome name = Obs.Labeled.value (Obs.Labeled.cell admission name) in
   let outcomes = [ "admitted"; "shed_queue_full"; "shed_pressure"; "shed_deadline" ] in
@@ -2143,7 +2568,7 @@ let test_mux_sheds_under_overload () =
   done;
   wait_until "the loop to admit or shed every frame" (fun () ->
       ledger () - ledger0 >= n);
-  Atomic.set release true;
+  release ();
   let degraded = ref 0 and served = ref 0 in
   for i = 1 to n do
     match Serve.Proto.read_response ic with
@@ -2163,6 +2588,60 @@ let test_mux_sheds_under_overload () =
     (moved "shed_pressure" + moved "shed_deadline");
   Alcotest.(check int) "overload sheds degraded replies" 4 !degraded;
   Alcotest.(check int) "admitted frames get full answers" 3 !served
+
+let test_mux_session_order () =
+  (* one pool worker, a queue of 1, the worker parked: a session
+     lifecycle pipelined on one connection must still run in arrival
+     order. Unordered, create waits for the worker, add-jobs fills the
+     queue and the first resolve is shed inline on the loop — ahead of
+     the create it depends on. *)
+  with_parked_mux ~max_pending:1 @@ fun port release ->
+  let checks0 = counter "health.checks" in
+  let m = 3 in
+  let inst = Workloads.Gen.uniform (rng 59) ~n:8 ~m ~k:2 () in
+  let fd, ic, oc = mux_connect port in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let job = { Core.Instance.nsize = 3.0; nclass = 0; nptimes = None; neligible = None } in
+  let resolve = Serve.Proto.S_resolve { deadline_ms = None } in
+  List.iter
+    (fun op -> Serve.Proto.write_session_request oc { sid = "ord"; op; trace = None })
+    Serve.Proto.
+      [ S_create inst; S_add_jobs [ job ]; resolve; S_drop_jobs [ 0 ]; resolve; S_close ];
+  Serve.Proto.write_incoming oc Serve.Proto.Health;
+  (* the health frame is answered inline once the loop has read it, and
+     so every session frame before it *)
+  wait_until "the loop to read every frame" (fun () ->
+      counter "health.checks" > checks0);
+  release ();
+  List.iter
+    (fun (op, generation, jobs) ->
+      match Serve.Proto.read_response ic with
+      | Ok (Some (Serve.Proto.Session_reply r)) ->
+          Alcotest.(check string) "op" op r.Serve.Proto.op;
+          Alcotest.(check int) (op ^ " generation") generation r.Serve.Proto.generation;
+          Alcotest.(check int) (op ^ " jobs") jobs r.Serve.Proto.jobs;
+          (match r.Serve.Proto.solve with
+          | Some s ->
+              Alcotest.(check int) "every job scheduled" jobs
+                (Array.length s.Serve.Proto.assignment);
+              Array.iter
+                (fun i -> Alcotest.(check bool) "a machine" true (i >= 0 && i < m))
+                s.Serve.Proto.assignment
+          | None -> Alcotest.(check bool) (op ^ " carries no schedule") false (op = "resolve"))
+      | Ok (Some (Serve.Proto.Error msg)) -> Alcotest.failf "%s: %s" op msg
+      | _ -> Alcotest.failf "%s: expected a session reply" op)
+    [
+      ("create", 0, 8);
+      ("add-jobs", 1, 9);
+      ("resolve", 1, 9);
+      ("drop-jobs", 2, 8);
+      ("resolve", 2, 8);
+      ("close", 2, 8);
+    ];
+  match Serve.Proto.read_response ic with
+  | Ok (Some (Serve.Proto.Health_reply _)) -> ()
+  | _ -> Alcotest.fail "expected the health reply last"
 
 let () =
   Alcotest.run "serve"
@@ -2227,6 +2706,9 @@ let () =
           Alcotest.test_case "incremental truncation" `Quick
             test_incremental_truncation;
           QCheck_alcotest.to_alcotest prop_wire_roundtrip;
+          Alcotest.test_case "golden encode" `Quick test_proto_golden_encode;
+          Alcotest.test_case "golden decode" `Quick test_proto_golden_decode;
+          QCheck_alcotest.to_alcotest prop_wire_mutations;
         ] );
       ( "server",
         [
@@ -2250,6 +2732,8 @@ let () =
           Alcotest.test_case "tcp pipelining" `Quick test_mux_tcp_pipeline;
           Alcotest.test_case "overload shedding" `Quick
             test_mux_sheds_under_overload;
+          Alcotest.test_case "pipelined session order" `Quick
+            test_mux_session_order;
         ] );
       ( "router",
         [
