@@ -396,7 +396,11 @@ let serve_cmd =
                    $(b,--backends) by consistent-hashing its canonical \
                    instance fingerprint, so repeated and permuted \
                    instances land on the shard that already cached \
-                   them. Listens on --socket or --tcp.")
+                   them. Runs on the same event loop as a server, on \
+                   $(b,--socket), $(b,--tcp) or both; every frame, \
+                   admin frames included, is forwarded by one of the 3 \
+                   workers of the router's own 4-domain pool over a \
+                   pooled backend connection.")
   in
   let backends_arg =
     Arg.(value & opt (some string) None
@@ -408,10 +412,12 @@ let serve_cmd =
     Arg.(value & opt int 64
          & info [ "max-pending" ] ~docv:"N"
              ~doc:"Admission bound of $(b,--socket) and $(b,--tcp) \
-                   servers: at most $(docv) solver-bound requests queued \
-                   (halved when health is degraded, zero when \
-                   unhealthy); excess requests are shed with an \
-                   immediate degraded fast-path reply.")
+                   servers and routers: at most $(docv) requests queued \
+                   for the pool (halved when health is degraded, zero \
+                   when unhealthy); excess requests are shed with an \
+                   immediate reply — a server's from the degraded fast \
+                   path, a router's an overload error that never \
+                   reaches a backend.")
   in
   let cache_arg =
     Arg.(value & opt int 128
@@ -426,7 +432,8 @@ let serve_cmd =
                    once (with 1, on the loop itself); with $(docv) > 2, \
                    pipelined requests of one connection may run \
                    concurrently. $(b,--stdio) answers one frame at a \
-                   time.")
+                   time. Does not size a $(b,--router)'s pool, which \
+                   always has 4 domains.")
   in
   let deadline_arg =
     Arg.(value & opt (some float) None
@@ -601,6 +608,13 @@ let serve_cmd =
                       (Unix.string_of_inet_addr ip) p
                 | Unix.ADDR_UNIX p -> Printf.eprintf "serving on %s\n%!" p
               in
+              let backend_list =
+                match backends with
+                | None -> []
+                | Some b ->
+                    String.split_on_char ',' b |> List.map String.trim
+                    |> List.filter (( <> ) "")
+              in
               (* --tcp takes the HOST:PORT half of the client target
                  grammar (Serve.Scrape.hostport) *)
               let tcp_listener () =
@@ -613,72 +627,20 @@ let serve_cmd =
                         Error
                           (Printf.sprintf "--tcp expects HOST:PORT, got %S" hp))
               in
-              let serve_router () =
-                let backend_list =
-                  match backends with
-                  | None -> []
-                  | Some b ->
-                      String.split_on_char ',' b |> List.map String.trim
-                      |> List.filter (( <> ) "")
-                in
-                if backend_list = [] then
-                  `Error (false, "--router requires --backends T1,T2,...")
-                else if stdio then
-                  `Error (false, "--router cannot serve --stdio")
-                else
-                  match (socket, tcp_listener ()) with
-                  | _, Error msg -> `Error (false, msg)
-                  | None, Ok None ->
-                      `Error
-                        ( false,
-                          "--router needs a listener: --socket PATH or --tcp \
-                           HOST:PORT" )
-                  | Some _, Ok (Some _) ->
-                      `Error
-                        ( false,
-                          "choose one of --socket or --tcp for the router \
-                           listener" )
-                  | _, Ok tcp -> (
-                      let rt = Serve.Router.create backend_list in
-                      let stop _ = Serve.Router.stop rt in
-                      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-                      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-                      match
-                        banner
-                          (match (socket, tcp) with
-                          | Some path, _ ->
-                              Serve.Router.bind_unix rt ~path;
-                              Unix.ADDR_UNIX path
-                          | None, Some (_, host, port) ->
-                              Serve.Router.bind_tcp rt ~host ~port
-                          | None, None -> assert false);
-                        Printf.eprintf "routing across %d backend(s)\n%!"
-                          (Serve.Router.backend_count rt);
-                        Serve.Router.run rt
-                      with
-                      | () ->
-                          Serve.Router.shutdown rt;
-                          finish ~stats
-                      | exception Unix.Unix_error (err, _, _) ->
-                          Serve.Router.shutdown rt;
-                          `Error
-                            ( false,
-                              Printf.sprintf "cannot listen: %s"
-                                (Unix.error_message err) ))
-              in
               (* every listening socket, Unix or TCP, is served by one
-                 multiplexed event loop *)
+                 multiplexed event loop, for a server or a router *)
               let serve_mux tcp =
-                let server = Serve.Server.create config in
-                let mux =
-                  Serve.Mux.create
-                    ~config:
-                      {
-                        Serve.Mux.max_pending;
-                        max_connections =
-                          Serve.Mux.default_config.Serve.Mux.max_connections;
-                      }
-                    server
+                let mux_config = { Serve.Mux.default_config with max_pending } in
+                let mux, shutdown =
+                  if router then
+                    let rt = Serve.Router.create backend_list in
+                    ( Serve.Mux.of_service ~config:mux_config
+                        (Serve.Router.service rt),
+                      fun () -> Serve.Router.shutdown rt )
+                  else
+                    let server = Serve.Server.create config in
+                    ( Serve.Mux.create ~config:mux_config server,
+                      fun () -> Serve.Server.shutdown server )
                 in
                 let stop _ = Serve.Mux.stop mux in
                 Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
@@ -705,16 +667,19 @@ let serve_cmd =
                   @ Option.to_list (Option.map (fun p -> Unix.ADDR_UNIX p) socket)
                 with
                 | exception Failure msg ->
-                    Serve.Server.shutdown server;
+                    shutdown ();
                     `Error (false, msg)
                 | addrs ->
                     List.iter banner addrs;
                     Serve.Mux.run mux;
-                    Serve.Server.shutdown server;
+                    shutdown ();
                     finish ~stats
               in
               let result =
-                if router then serve_router ()
+                if router && backend_list = [] then
+                  `Error (false, "--router requires --backends T1,T2,...")
+                else if router && stdio then
+                  `Error (false, "--router cannot serve --stdio")
                 else
                   match (stdio, socket, tcp) with
                   | true, None, None ->

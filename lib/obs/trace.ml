@@ -15,12 +15,15 @@ let escape s =
   Buffer.contents buf
 
 (* Phase records as Chrome B/E pairs that nest per tid. One domain runs
-   its spans as a call stack, so a record nests inside the innermost
-   record of its domain whose interval contains it; parent links cannot
-   decide this alone, since a parent may be evicted, on another domain or
-   in another process. Records arrive sorted by start (ties in open
-   order), so one stack per domain finds that record; a pre-order walk
-   of each tree then emits a B, the children, then an E. *)
+   its spans as a call stack, so a record nests inside its parent when
+   the parent is open on the same domain. Parent links cannot decide
+   this alone, since a parent may be evicted, on another domain or in
+   another process; such a record nests inside the innermost record of
+   its domain whose interval strictly contains its start, so a sibling
+   that starts the moment its predecessor ended stays a sibling. Records
+   arrive sorted by start (ties in open order), so one stack per domain
+   finds that record; a pre-order walk of each tree then emits a B, the
+   children, then an E. *)
 type node = { r : Phase.record; mutable kids : node list }
 
 let end_us (r : Phase.record) = r.start_us +. r.dur_us
@@ -32,13 +35,22 @@ let to_string () =
   let roots =
     List.filter_map
       (fun (r : Phase.record) ->
-        let rec enclosing = function
-          | q :: _ as stack when end_us r <= end_us q.r -> stack
-          | _ :: rest -> enclosing rest
+        let rec by_parent = function
+          | q :: _ as stack when Some q.r.id = r.parent -> Some stack
+          | _ :: rest -> by_parent rest
+          | [] -> None
+        in
+        let rec by_start = function
+          | q :: _ as stack
+            when q.r.start_us < r.start_us && r.start_us < end_us q.r ->
+              stack
+          | _ :: rest -> by_start rest
           | [] -> []
         in
-        let open_ = Hashtbl.find_opt stacks r.domain in
-        let stack = enclosing (Option.value ~default:[] open_) in
+        let open_ = Option.value ~default:[] (Hashtbl.find_opt stacks r.domain) in
+        let stack =
+          match by_parent open_ with Some s -> s | None -> by_start open_
+        in
         let n = { r; kids = [] } in
         Hashtbl.replace stacks r.domain (n :: stack);
         match stack with

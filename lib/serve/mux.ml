@@ -1,10 +1,11 @@
 (* Readiness-driven multiplexed transport: one event loop owns every
    socket (listeners and connections, all non-blocking), feeds received
    bytes to Proto.Incremental, and queues parsed requests through a
-   bounded admission queue onto the server's pool. Replies come back
-   through a completion queue + wake pipe and are written in arrival
-   order per connection (pipelining-safe). The loop itself never blocks
-   on a peer: a slow client only fills its own output buffer. *)
+   bounded admission queue onto the service's pool — a server's or a
+   shard router's (Server.service). Replies come back through a
+   completion queue + wake pipe and are written in arrival order per
+   connection (pipelining-safe). The loop itself never blocks on a peer:
+   a slow client only fills its own output buffer. *)
 
 type admission = Admitted | Shed_queue_full | Shed_pressure | Shed_deadline
 
@@ -71,7 +72,7 @@ type metrics = {
 }
 
 type t = {
-  server : Server.t;
+  svc : Server.service;
   config : config;
   mutable listeners : (Unix.file_descr * string option) list;
       (* fd, unix path to unlink on exit *)
@@ -83,13 +84,16 @@ type t = {
   completed_mutex : Mutex.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
+  (* the loop's read buffer: one per mux, since muxes in one process
+     (a router and its backends in a test) run on different domains *)
+  chunk : Bytes.t;
   stopping : bool Atomic.t;
   m : metrics;
 }
 
 (* Metrics are created per-mux (not at module load) so processes that
-   never start the mux — plain [schedtool metrics], [--stdio] sessions,
-   the router — do not grow serve.mux.* series in their expositions. *)
+   never start the mux — plain [schedtool metrics], [--stdio] sessions —
+   do not grow serve.mux.* series in their expositions. *)
 let make_metrics () =
   let admission = Obs.Labeled.family "serve.mux.admission" ~label:"outcome" in
   {
@@ -107,7 +111,7 @@ let make_metrics () =
     h_queue_wait_us = Obs.Histogram.make "serve.mux.queue_wait_us";
   }
 
-let create ?(config = default_config) server =
+let of_service ?(config = default_config) (svc : Server.service) =
   if config.max_pending < 1 then
     invalid_arg "Mux.create: max_pending must be >= 1";
   let wake_r, wake_w = Unix.pipe () in
@@ -115,17 +119,18 @@ let create ?(config = default_config) server =
   Unix.set_nonblock wake_w;
   let t =
     {
-      server;
+      svc;
       config;
       listeners = [];
       conns = Hashtbl.create 64;
       pending = Queue.create ();
       inflight = 0;
-      max_inflight = max 0 (Parallel.Pool.size (Server.pool server) - 1);
+      max_inflight = max 0 (Parallel.Pool.size svc.pool - 1);
       completed = Queue.create ();
       completed_mutex = Mutex.create ();
       wake_r;
       wake_w;
+      chunk = Bytes.create 65536;
       stopping = Atomic.make false;
       m = make_metrics ();
     }
@@ -138,6 +143,8 @@ let create ?(config = default_config) server =
     (Obs.Slo.Availability
        { family = "serve.mux.admission"; good_values = [ "admitted" ] });
   t
+
+let create ?config server = of_service ?config (Server.service server)
 
 let add_listener t fd path =
   Unix.set_nonblock fd;
@@ -234,30 +241,6 @@ let capacity t status =
   | Obs.Health.Degraded _ -> max 1 (t.config.max_pending / 2)
   | Obs.Health.Unhealthy _ -> 0
 
-(* Shedding strips the solver budget instead of refusing service: the
-   request is answered inline on the loop through the same dispatch
-   path with deadline 0, which yields the near-linear fast path and a
-   [degraded] reply — or the cached result when one exists, which costs
-   nothing and is better than degrading. *)
-let shed_response t (incoming : Proto.incoming) =
-  match incoming with
-  | Proto.Solve req ->
-      Server.handle_incoming t.server
-        (Proto.Solve { req with Proto.deadline_ms = Some 0.0 })
-  | Proto.Session ({ op = Proto.S_resolve _; _ } as sreq) ->
-      Server.handle_incoming t.server
-        (Proto.Session
-           { sreq with Proto.op = Proto.S_resolve { deadline_ms = Some 0.0 } })
-  | Proto.Session _ as s ->
-      (* session mutations are O(delta) bookkeeping — cheap enough to
-         run inline rather than fail the lifecycle under load *)
-      Server.handle_incoming t.server s
-  | Proto.Profile _ ->
-      Proto.Error "overloaded: profile frame shed (retry when healthy)"
-  | Proto.Stats _ | Proto.Events _ | Proto.Health | Proto.Explain _ ->
-      (* admin frames are never queued, so never shed *)
-      assert false
-
 let record_admission t outcome =
   Obs.Labeled.incr
     (match outcome with
@@ -287,20 +270,19 @@ let dispatch t (work : work) =
   match incoming with
   | None ->
       record_admission t Shed_deadline;
-      work.wslot := Some (shed_response t work.wincoming);
+      work.wslot := Some (t.svc.shed work.wincoming);
       pump t work.wconn
   | Some incoming ->
       let pressure = work.wpressure in
       if t.max_inflight = 0 then begin
-        work.wslot :=
-          Some (Server.handle_incoming ~pressure t.server incoming);
+        work.wslot := Some (t.svc.run ~pressure incoming);
         pump t work.wconn
       end
       else begin
         t.inflight <- t.inflight + 1;
-        Parallel.Pool.submit (Server.pool t.server) (fun () ->
+        Parallel.Pool.submit t.svc.pool (fun () ->
             let response =
-              try Server.handle_incoming ~pressure t.server incoming
+              try t.svc.run ~pressure incoming
               with exn ->
                 Proto.Error
                   (Printf.sprintf "internal error: %s" (Printexc.to_string exn))
@@ -319,7 +301,7 @@ let dispatch_pending t =
     if not work.wconn.closed then dispatch t work
   done
 
-(* Admission control for a solver-bound frame whose slot is in line. *)
+(* Admission control for a pooled frame whose slot is in line. *)
 let admit_pooled t conn slot incoming =
   let depth = Queue.length t.pending in
   let status = Obs.Health.status () in
@@ -328,7 +310,7 @@ let admit_pooled t conn slot incoming =
     record_admission t
       (if depth >= t.config.max_pending then Shed_queue_full
        else Shed_pressure);
-    slot := Some (shed_response t incoming);
+    slot := Some (t.svc.shed incoming);
     pump t conn
   end
   else begin
@@ -353,20 +335,24 @@ let rec admit_held t conn =
         if Option.is_none !slot then conn.session_busy <- true
         else admit_held t conn
 
-(* One parsed frame: admin frames answer inline (they read process-wide
-   registries and cost microseconds); solver-bound frames pass admission
-   control, session frames one at a time per connection. *)
+(* One parsed frame: a server's admin frames answer inline (they read
+   process-wide registries and cost microseconds); every other frame
+   passes admission control, session frames one at a time per
+   connection. *)
 let admit t conn (incoming : Proto.incoming) =
   let slot = ref None in
   Queue.push slot conn.slots;
   match incoming with
-  | Proto.Stats _ | Proto.Events _ | Proto.Health | Proto.Explain _ ->
-      slot := Some (Server.handle_incoming t.server incoming);
+  | (Proto.Stats _ | Proto.Events _ | Proto.Health | Proto.Explain _)
+    when t.svc.admin_on_loop ->
+      slot := Some (t.svc.run ~pressure:false incoming);
       pump t conn
   | Proto.Session _ ->
       Queue.push (slot, incoming) conn.held;
       if not conn.session_busy then admit_held t conn
-  | Proto.Solve _ | Proto.Profile _ -> admit_pooled t conn slot incoming
+  | Proto.Solve _ | Proto.Profile _ | Proto.Stats _ | Proto.Events _
+  | Proto.Health | Proto.Explain _ ->
+      admit_pooled t conn slot incoming
 
 let process_frames t conn =
   let rec loop () =
@@ -386,11 +372,9 @@ let process_frames t conn =
 
 (* --- input path --------------------------------------------------------- *)
 
-let read_chunk = Bytes.create 65536
-
 let handle_readable t conn =
   if not conn.closed then begin
-    match Unix.read conn.fd read_chunk 0 (Bytes.length read_chunk) with
+    match Unix.read conn.fd t.chunk 0 (Bytes.length t.chunk) with
     | 0 ->
         (* peer finished sending: flush the tail, answer any pipelined
            frames already buffered, then fail a frame cut mid-body the
@@ -407,7 +391,7 @@ let handle_readable t conn =
         pump t conn;
         try_write t conn
     | n ->
-        Proto.Incremental.feed conn.parser (Bytes.sub_string read_chunk 0 n);
+        Proto.Incremental.feed conn.parser (Bytes.sub_string t.chunk 0 n);
         process_frames t conn
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error ((Unix.EINTR), _, _) -> ()

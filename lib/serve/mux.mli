@@ -1,31 +1,36 @@
 (** Multiplexed transport — the one transport for listening sockets,
-    Unix-domain ([serve --socket]) and TCP ([serve --tcp]) alike: one
-    readiness-driven event loop ([Unix.select] over non-blocking
-    sockets) owns every listener and connection, so socket I/O never
-    ties up a solver worker and a slow or idle client costs one fd plus
-    its buffers — not a pool slot.
+    Unix-domain ([--socket]) and TCP ([--tcp]), of servers and shard
+    routers alike: one readiness-driven event loop
+    ([Unix.select] over non-blocking sockets) binds and owns every
+    listener and connection, so socket I/O never ties up a worker and a
+    slow or idle client costs one fd plus its buffers — not a pool
+    slot. What the loop serves is a {!Server.service}: a server's
+    ({!create}) or a router's ({!of_service} over {!Router.service}).
 
     Bytes are fed to {!Proto.Incremental} as they arrive, so requests
     may be pipelined: every frame gets a response slot in arrival order
     and replies are serialized strictly in that order, even when a later
     frame (an inline shed, an admin frame) finishes first.
 
-    Admission control: solver-bound frames (solve, session, profile)
-    enter a bounded pending queue drained onto the server's
+    Admission control: frames the loop does not answer itself (a
+    server's solve, session and profile frames; every frame of a
+    router) enter a bounded pending queue drained onto the service's
     {!Parallel.Pool}, at most [pool size - 1] in flight (on a
     one-domain pool they run on the loop itself), so with more than
     two domains the pipelined frames of one connection may run
-    concurrently; admin frames (stats, events, health, explain) answer
-    inline. The queue bound tightens with the {!Obs.Health}
-    status lattice — full capacity when [Ok], half when [Degraded],
-    zero when [Unhealthy] — and an over-capacity frame is {e shed}: it
-    is answered immediately through the same dispatch path with a zero
-    deadline, i.e. the near-linear fast path and a [degraded] reply
-    (or the cached result, when the instance is already cached).
-    Requests that out-wait their own deadline in the queue are shed the
-    same way at dispatch time. An admitted request keeps the health
-    verdict taken at its admission for its own dispatch, so frames
-    queued behind it cannot shed it.
+    concurrently; session frames of one connection run one at a time,
+    in arrival order. A server's admin frames (stats, events, health,
+    explain) answer inline. The queue bound tightens with the
+    {!Obs.Health} status lattice — full capacity when [Ok], half when
+    [Degraded], zero when [Unhealthy] — and an over-capacity frame is
+    {e shed}: the service's [shed] reply answers it on the loop (a
+    server's runs the same dispatch path with a zero deadline, i.e. the
+    near-linear fast path and a [degraded] reply, or the cached result;
+    a router's is an [overloaded] error). Requests that out-wait their
+    own deadline in the queue are shed the same way at dispatch time;
+    the rest run with the deadline they have left. An admitted request
+    keeps the health verdict taken at its admission for its own
+    dispatch, so frames queued behind it cannot shed it.
 
     Observability (created per-mux, so non-mux processes do not carry
     the series): counters [serve.mux.accepted] / [serve.mux.closed] /
@@ -53,7 +58,10 @@ val default_config : config
 type t
 
 val create : ?config:config -> Server.t -> t
-(** Wrap a server in a mux transport and register its health meter and
+(** [of_service (Server.service server)]. *)
+
+val of_service : ?config:config -> Server.service -> t
+(** Wrap a service in a mux transport and register its health meter and
     SLO. Raises [Invalid_argument] if [max_pending < 1]. *)
 
 val add_tcp : t -> host:string -> port:int -> Unix.sockaddr

@@ -2,8 +2,8 @@
    request onto one of N backend server processes, so repeated (and
    relabeled — the key is Canon.prehash, which is relabeling-invariant)
    instances keep landing on the shard that already cached them. The
-   router does no solving and keeps no schedule state: it forwards one
-   frame, relays one response, in order, per client connection. *)
+   router does no solving and keeps no schedule state: it is a Mux
+   service whose workers forward one frame each and relay the reply. *)
 
 module Ring = struct
   (* Classic consistent hashing: every backend owns [vnodes] points on
@@ -41,9 +41,10 @@ type t = {
   backends : string array;
   ring : Ring.t;
   pool : Parallel.Pool.t;
-  stopping : bool Atomic.t;
-  mutable listen_fd : Unix.file_descr option;
-  mutable listen_path : string option;  (* unix path to unlink on exit *)
+  (* per backend, the connections no worker is using; a connection
+     carries one frame at a time, so backend replies never interleave *)
+  idle : Scrape.conn list array;
+  idle_mutex : Mutex.t;
   fwd_cells : Obs.Labeled.cell array;
   c_backend_errors : Obs.Counter.t;
 }
@@ -58,15 +59,12 @@ let create ?(vnodes = 128) ?(jobs = 4) backends =
     backends;
     ring = Ring.make ~vnodes (Array.length backends);
     pool = Parallel.Pool.create (max 1 jobs);
-    stopping = Atomic.make false;
-    listen_fd = None;
-    listen_path = None;
+    idle = Array.make (Array.length backends) [];
+    idle_mutex = Mutex.create ();
     fwd_cells =
       Array.mapi (fun i _ -> Obs.Labeled.cell family (string_of_int i)) backends;
     c_backend_errors = Obs.Counter.make "serve.router.backend_errors";
   }
-
-let backend_count t = Array.length t.backends
 
 (* Solves shard by the relabeling-invariant instance fingerprint;
    session frames pin a session's whole lifecycle to one shard by its
@@ -80,106 +78,62 @@ let shard_of_incoming t (incoming : Proto.incoming) =
   | Proto.Profile _ ->
       0
 
-(* One client session: read frames, forward each to its shard over a
-   lazily-opened per-client backend connection (so backend replies can
-   never interleave across clients), relay the response verbatim. A
-   backend failure degrades to an error reply and drops that backend
-   connection; the client session survives. *)
-let handle_client t client =
-  let ic = Unix.in_channel_of_descr client in
-  let oc = Unix.out_channel_of_descr client in
-  let conns = Array.make (Array.length t.backends) None in
-  let drop_backend i =
-    Option.iter Scrape.close conns.(i);
-    conns.(i) <- None
-  in
-  let backend i =
-    match conns.(i) with
-    | Some c -> Ok c
-    | None ->
-        Result.map
-          (fun c ->
-            conns.(i) <- Some c;
-            c)
-          (Scrape.connect t.backends.(i))
-  in
-  let forward i incoming =
-    match Result.bind (backend i) (fun c -> Scrape.exchange c incoming) with
-    | Ok response ->
-        Obs.Labeled.incr t.fwd_cells.(i);
-        response
-    | Error msg ->
-        drop_backend i;
-        Obs.Counter.incr t.c_backend_errors;
-        Proto.Error (Printf.sprintf "backend %s: %s" t.backends.(i) msg)
-  in
-  let respond response =
-    Proto.write_response oc response;
-    Obs.Health.waiting ()
-  in
-  let rec loop () =
-    match Proto.read_incoming ic with
-    | Ok None -> ()
-    | Ok (Some incoming) ->
-        respond (forward (shard_of_incoming t incoming) incoming);
-        loop ()
-    | Error msg ->
-        respond (Proto.Error msg);
-        loop ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iteri (fun i _ -> drop_backend i) conns;
-      (try flush oc with Sys_error _ -> ());
-      try Unix.close client with Unix.Unix_error _ -> ())
-    loop
+(* An idle connection to backend [i], or a fresh one. An idle
+   connection has nothing to read, so one that reads ready was closed by
+   its backend (a restart) and is dropped before it can fail a frame. *)
+let rec take t i =
+  match
+    Mutex.protect t.idle_mutex (fun () ->
+        match t.idle.(i) with
+        | c :: rest ->
+            t.idle.(i) <- rest;
+            Some c
+        | [] -> None)
+  with
+  | None -> Scrape.connect t.backends.(i)
+  | Some c -> (
+      match Unix.select [ c.Scrape.fd ] [] [] 0.0 with
+      | [], _, _ -> Ok c
+      | _ :: _, _, _ | (exception Unix.Unix_error _) ->
+          Scrape.close c;
+          take t i)
 
-let bind_unix t ~path =
-  t.listen_fd <- Some (Scrape.listen (Unix.ADDR_UNIX path));
-  t.listen_path <- Some path
-
-let bind_tcp t ~host ~port =
-  let fd = Scrape.listen (Scrape.tcp_address ~host ~port) in
-  t.listen_fd <- Some fd;
-  Unix.getsockname fd
-
-let run t =
-  let fd =
-    match t.listen_fd with
-    | Some fd -> fd
-    | None -> invalid_arg "Router.run: bind a listener first"
+(* One frame on a pool worker: forward it to its shard and relay the
+   reply. The worker is marked waiting while the backend works, so a
+   slow backend does not read as a wedged task. A backend failure is
+   answered with an error reply and the connection is dropped; the next
+   frame for that backend takes another or dials again. *)
+let forward t incoming =
+  let i = shard_of_incoming t incoming in
+  let exchange c =
+    Obs.Health.waiting ();
+    let reply = Scrape.exchange c incoming in
+    Obs.Health.beat ();
+    (match reply with
+    | Ok _ -> Mutex.protect t.idle_mutex (fun () -> t.idle.(i) <- c :: t.idle.(i))
+    | Error _ -> Scrape.close c);
+    reply
   in
-  let rec accept_loop () =
-    if not (Atomic.get t.stopping) then
-      match Unix.accept ~cloexec:true fd with
-      | client, _ ->
-          Parallel.Pool.submit t.pool (fun () -> handle_client t client);
-          accept_loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-      | exception
-          Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _)
-        ->
-          ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      t.listen_fd <- None;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      match t.listen_path with
-      | Some path -> (
-          t.listen_path <- None;
-          try Sys.remove path with Sys_error _ -> ())
-      | None -> ())
-    accept_loop
+  match Result.bind (take t i) exchange with
+  | Ok response ->
+      Obs.Labeled.incr t.fwd_cells.(i);
+      response
+  | Error msg ->
+      Obs.Counter.incr t.c_backend_errors;
+      Proto.Error (Printf.sprintf "backend %s: %s" t.backends.(i) msg)
 
-let stop t =
-  Atomic.set t.stopping true;
-  match t.listen_fd with
-  | None -> ()
-  | Some fd -> (
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+let service t =
+  {
+    Server.pool = t.pool;
+    run = (fun ~pressure:_ incoming -> forward t incoming);
+    admin_on_loop = false;
+    (* a shed frame never reaches a backend *)
+    shed =
+      (fun _ -> Proto.Error "overloaded: frame shed by the router (retry later)");
+  }
 
 let shutdown t =
-  stop t;
   Parallel.Pool.wait_idle t.pool;
-  Parallel.Pool.shutdown t.pool
+  Parallel.Pool.shutdown t.pool;
+  Array.iter (List.iter Scrape.close) t.idle;
+  Array.fill t.idle 0 (Array.length t.idle) []

@@ -9,17 +9,23 @@
     have no affinity and go to shard 0 — scrape backends directly for
     their own metrics.
 
-    The router is a blocking proxy, unlike the {!Mux}-served backends:
-    each client connection is served by a pool task that opens its own
-    lazily-connected backend sockets (Unix paths or [HOST:PORT], through
-    {!Scrape.connect} and {!Scrape.exchange}), so responses relay in
-    request order and backends never interleave replies across
-    clients. A backend failure is answered with a
-    [status error] reply reading [backend <target>: <reason>], and that
-    backend connection is dropped and re-dialed on next use; the client
-    session survives. Serving clients on the mux instead would need
-    non-blocking backend connections: a blocking forward on the event
-    loop would stall every other client.
+    The router is served by {!Mux} like any server ({!service}): the
+    event loop accepts, parses, admits and replies, and every frame,
+    admin frames included, is forwarded on a worker of the router's
+    pool. The worker takes an idle connection to the shard's backend
+    (Unix path or [HOST:PORT], through {!Scrape.connect} and
+    {!Scrape.exchange}) or dials one — an idle connection its backend
+    has closed, as after a restart, is dropped unused — is marked
+    [waiting] while the backend works, and puts the connection back after the reply, so no
+    two frames share a backend connection at once; connections are
+    shared across clients. Replies relay in request order (the mux's
+    slots), and the session frames of one client connection are
+    forwarded one at a time. A backend failure is answered with a
+    [status error] reply reading [backend <target>: <reason>] and that
+    connection is closed; the next frame for the backend takes another
+    idle connection or dials again.
+    A frame the mux sheds is answered on the loop with an [overloaded]
+    error and never reaches a backend.
 
     Metrics (created per-{!create}): the labeled family
     [serve.router.forwarded{backend="<index>"}] and the
@@ -45,30 +51,18 @@ type t
 
 val create : ?vnodes:int -> ?jobs:int -> string list -> t
 (** [create backends] builds a router over the given backend targets
-    (Unix socket paths or [HOST:PORT], see {!Scrape.resolve}) with its
-    own [jobs]-sized pool (default 4) for client sessions. Raises
+    (Unix socket paths or [HOST:PORT], see {!Scrape.connect}) with its
+    own [jobs]-sized pool (default 4) for forwarding. Raises
     [Invalid_argument] on an empty backend list. *)
-
-val backend_count : t -> int
 
 val shard_of_incoming : t -> Proto.incoming -> int
 (** The backend index a frame routes to (exposed for tests). *)
 
-val bind_unix : t -> path:string -> unit
-(** Bind the router's listener to a Unix-domain socket with
-    {!Scrape.listen} (replacing a stale socket file; removed when {!run}
-    returns). *)
-
-val bind_tcp : t -> host:string -> port:int -> Unix.sockaddr
-(** Bind the router's listener to a TCP address with {!Scrape.listen};
-    returns the bound address (port 0 picks a free port). *)
-
-val run : t -> unit
-(** Accept and serve client connections until {!stop}; call after one
-    of the [bind_*]. Raises [Invalid_argument] with no listener. *)
-
-val stop : t -> unit
-(** Make {!run} return; safe from a signal handler. *)
+val service : t -> Server.service
+(** The router as a mux service ({!Mux.of_service}): forward each frame
+    on the router's pool, admin frames included; shed frames get an
+    [overloaded] error without touching a backend. *)
 
 val shutdown : t -> unit
-(** {!stop}, drain in-flight client sessions, shut the pool down. *)
+(** Drain in-flight forwards, shut the pool down and close the idle
+    backend connections. Stop the mux first. *)

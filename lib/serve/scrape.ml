@@ -1,8 +1,8 @@
 (* Socket addressing and the client side of the wire, shared by every
    command that talks to a live server (`loadgen`, `metrics`, `events`,
-   `explain`, `top`, `profile`), by the shard router's backend links and
-   by every listener: the target grammar, listener binding, one
-   connect-and-exchange helper — plus the pure text wrangling scrapes
+   `explain`, `top`, `profile`), by the shard router's forwards and by
+   the mux, which binds every listener: the target grammar, listener
+   binding, one connect-and-exchange helper — plus the pure text wrangling scrapes
    need: a Prometheus text parser (the repo deliberately has no JSON
    parser dependency), snapshot diffing, and histogram-delta quantiles
    for "latency over the last refresh". *)

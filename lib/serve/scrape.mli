@@ -1,10 +1,11 @@
 (** Socket addressing and the client side of the wire.
 
     One target grammar — a Unix-domain socket path, or [HOST:PORT] for
-    TCP — reaches every server: {!listen} binds the listeners of
-    {!Mux} and {!Router}, {!connect} + {!exchange} carry every client
-    round trip ([schedtool loadgen], [metrics], [events], [explain],
-    [top], [profile] and the router's backend links). The rest is the
+    TCP — reaches every server and router: {!listen} binds every
+    listener (all of them {!Mux}'s), {!connect} + {!exchange} carry
+    every client round trip ([schedtool loadgen], [metrics], [events],
+    [explain], [top], [profile] and the router's forwards to its
+    backends). The rest is the
     pure text wrangling scrapes need: a Prometheus text parser (the
     project carries no JSON parser dependency), snapshot diffing,
     histogram-delta quantiles, and the [health v1] payload's

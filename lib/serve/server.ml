@@ -338,9 +338,45 @@ let handle_request ?pressure t (req : Proto.request) =
     | None -> t.config.default_deadline_ms
   in
   let pressure = pressure_of pressure in
+  let ph = Canon.prehash req.instance in
+  let put key cached =
+    Cache.put t.cache key cached;
+    record_prehash t ph
+  in
+  (* Solve [instance], store a non-degraded result with [store] and
+     reply with the assignment mapped back to the request's labeling by
+     [to_request]. Storing (canonicalize, key, put, fingerprint) is a
+     phase of its own, so the explain tree accounts for the work after
+     the solve. *)
+  let solve_and_store instance ~store ~to_request =
+    match Dispatch.solve ?deadline_ms ?hint:req.solver ~pressure instance with
+    | Error msg -> Proto.Error msg
+    | Ok outcome ->
+        let result = outcome.Dispatch.result in
+        let assignment =
+          Core.Schedule.assignment result.Algos.Common.schedule
+        in
+        if not outcome.Dispatch.degraded then
+          Obs.Span.phase "serve.cache.store" (fun () ->
+              store
+                {
+                  makespan = result.Algos.Common.makespan;
+                  assignment;
+                  solver = outcome.Dispatch.solver;
+                });
+        Proto.Reply
+          {
+            solver = outcome.Dispatch.solver;
+            cache_hit = false;
+            degraded = outcome.Dispatch.degraded;
+            makespan = result.Algos.Common.makespan;
+            elapsed_us = elapsed_us ();
+            assignment = to_request assignment;
+            trace = Some req_id;
+          }
+  in
   finish
   @@
-  let ph = Canon.prehash req.instance in
   if not (prehash_seen t ph) then begin
     (* Unseen fingerprint: nothing with this pre-hash was ever cached,
        and relabelings always share a pre-hash, so the cache provably
@@ -349,42 +385,17 @@ let handle_request ?pressure t (req : Proto.request) =
        result is stored under its canonical key so relabeled twins
        (whose pre-hash is now seen) hit it. *)
     Obs.Counter.incr c_prehash_misses;
-    match
-      Dispatch.solve ?deadline_ms ?hint:req.solver ~pressure req.instance
-    with
-    | Error msg -> Proto.Error msg
-    | Ok outcome ->
-        let result = outcome.Dispatch.result in
-        let assignment =
-          Core.Schedule.assignment result.Algos.Common.schedule
-        in
-        (* storing the result (canonicalize, key, put, fingerprint) is a
-           phase of its own, so the explain tree accounts for the work
-           after the solve *)
-        if not outcome.Dispatch.degraded then
-          Obs.Span.phase "serve.cache.store" (fun () ->
-              match Canon.canonicalize req.instance with
-              | exception Invalid_argument _ -> ()
-              | canon ->
-                  Cache.put t.cache
-                    (Core.Instance_io.to_string canon.Canon.instance)
-                    {
-                      makespan = result.Algos.Common.makespan;
-                      assignment =
-                        Canon.assignment_to_canonical canon assignment;
-                      solver = outcome.Dispatch.solver;
-                    };
-                  record_prehash t ph);
-        Proto.Reply
-          {
-            solver = outcome.Dispatch.solver;
-            cache_hit = false;
-            degraded = outcome.Dispatch.degraded;
-            makespan = result.Algos.Common.makespan;
-            elapsed_us = elapsed_us ();
-            assignment;
-            trace = Some req_id;
-          }
+    solve_and_store req.instance ~to_request:Fun.id ~store:(fun cached ->
+        match Canon.canonicalize req.instance with
+        | exception Invalid_argument _ -> ()
+        | canon ->
+            put
+              (Core.Instance_io.to_string canon.Canon.instance)
+              {
+                cached with
+                assignment =
+                  Canon.assignment_to_canonical canon cached.assignment;
+              })
   end
   else begin
     Obs.Counter.incr c_prehash_hits;
@@ -404,36 +415,9 @@ let handle_request ?pressure t (req : Proto.request) =
                 assignment = Canon.assignment_to_original canon hit.assignment;
                 trace = Some req_id;
               }
-        | None -> (
-            match
-              Dispatch.solve ?deadline_ms ?hint:req.solver ~pressure
-                canon.Canon.instance
-            with
-            | Error msg -> Proto.Error msg
-            | Ok outcome ->
-                let result = outcome.Dispatch.result in
-                let assignment =
-                  Core.Schedule.assignment result.Algos.Common.schedule
-                in
-                if not outcome.Dispatch.degraded then
-                  Obs.Span.phase "serve.cache.store" (fun () ->
-                      Cache.put t.cache key
-                        {
-                          makespan = result.Algos.Common.makespan;
-                          assignment;
-                          solver = outcome.Dispatch.solver;
-                        };
-                      record_prehash t ph);
-                Proto.Reply
-                  {
-                    solver = outcome.Dispatch.solver;
-                    cache_hit = false;
-                    degraded = outcome.Dispatch.degraded;
-                    makespan = result.Algos.Common.makespan;
-                    elapsed_us = elapsed_us ();
-                    assignment = Canon.assignment_to_original canon assignment;
-                    trace = Some req_id;
-                  }))
+        | None ->
+            solve_and_store canon.Canon.instance ~store:(put key)
+              ~to_request:(Canon.assignment_to_original canon))
   end
 
 (* Stats frames answer from the process-wide registries; they are admin
@@ -608,7 +592,41 @@ let protocol_error msg =
   Obs.Labeled.incr c_req_error;
   Proto.Error msg
 
-let pool t = t.pool
+(* Shedding strips the solver budget instead of refusing service: the
+   frame is answered through the same dispatch path with deadline 0,
+   which yields the near-linear fast path and a [degraded] reply — or
+   the cached result when one exists, which costs nothing and is better
+   than degrading. *)
+let shed t (incoming : Proto.incoming) =
+  match incoming with
+  | Proto.Profile _ ->
+      Proto.Error "overloaded: profile frame shed (retry when healthy)"
+  | Proto.Solve req ->
+      handle_incoming t (Proto.Solve { req with Proto.deadline_ms = Some 0.0 })
+  | Proto.Session ({ op = Proto.S_resolve _; _ } as sreq) ->
+      handle_incoming t
+        (Proto.Session
+           { sreq with Proto.op = Proto.S_resolve { deadline_ms = Some 0.0 } })
+  | Proto.Session _ | Proto.Stats _ | Proto.Events _ | Proto.Health
+  | Proto.Explain _ ->
+      (* session mutations are O(delta) bookkeeping and admin frames read
+         registries — cheap enough to run rather than fail *)
+      handle_incoming t incoming
+
+type service = {
+  pool : Parallel.Pool.t;
+  run : pressure:bool -> Proto.incoming -> Proto.response;
+  admin_on_loop : bool;
+  shed : Proto.incoming -> Proto.response;
+}
+
+let service (t : t) =
+  {
+    pool = t.pool;
+    run = (fun ~pressure incoming -> handle_incoming ~pressure t incoming);
+    admin_on_loop = true;
+    shed = shed t;
+  }
 
 let serve_channels t ic oc =
   let respond response =

@@ -6,8 +6,8 @@
     one sequential session over a pair of channels to end-of-stream and
     never lets a malformed request kill it — that is [--stdio],
     deterministic and cram-testable. Listening sockets (Unix-domain and
-    TCP) are served by {!Mux}, which parses frames on its event loop and
-    runs solver-bound ones on this server's pool.
+    TCP) are served by {!Mux} through {!service}: it parses frames on its
+    event loop and runs solver-bound ones on this server's pool.
 
     Per-request observability: a [serve.request] span brackets each
     request and carries a process-unique request id as the ambient
@@ -138,9 +138,22 @@ val protocol_error : string -> Proto.response
 (** The response for a frame that failed to parse: counts the failure in
     the request-error metrics and returns the [status error] reply. *)
 
-val pool : t -> Parallel.Pool.t
-(** The server's worker pool, for transports that submit work
-    themselves (the mux event loop). *)
+(** What {!Mux} serves: a server's ({!service}) or a shard router's
+    ({!Router.service}). *)
+type service = {
+  pool : Parallel.Pool.t;  (** runs the frames the mux queues *)
+  run : pressure:bool -> Proto.incoming -> Proto.response;
+      (** answer one frame under the admission-time health verdict *)
+  admin_on_loop : bool;
+      (** stats, events, health and explain frames answer on the loop *)
+  shed : Proto.incoming -> Proto.response;
+      (** the reply, computed on the loop, to a shed frame *)
+}
+
+val service : t -> service
+(** {!handle_incoming} on this server's pool, admin frames on the loop;
+    a shed frame runs with a zero deadline (the degraded fast path, or
+    the cached result), except a profile frame, which gets an error. *)
 
 val serve_channels : t -> in_channel -> out_channel -> unit
 (** Run one session until end-of-stream: read frames and answer each

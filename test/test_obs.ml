@@ -188,6 +188,30 @@ let test_trace_golden () =
           | Ok n -> Alcotest.(check int) "file round-trip" 4 n
           | Error msg -> Alcotest.failf "file did not validate: %s" msg))
 
+(* A zero-length record that starts the moment its sibling ended is that
+   sibling's sibling: its parent link says so, although its interval
+   ends where the sibling's does. *)
+let test_trace_touching_siblings () =
+  with_clean_sink (fun () ->
+      let push ~name ~id ~parent ~start_us ~dur_us =
+        Obs.Phase.push ~name ~detail:"" ~id ~parent ~start_us ~dur_us
+          ~alloc_bytes:0.0 ()
+      in
+      push ~name:"outer" ~id:1 ~parent:None ~start_us:1000.0 ~dur_us:10.0;
+      push ~name:"a" ~id:2 ~parent:(Some 1) ~start_us:1002.0 ~dur_us:3.0;
+      push ~name:"b" ~id:3 ~parent:(Some 1) ~start_us:1005.0 ~dur_us:0.0;
+      Alcotest.(check (list (pair string string)))
+        "siblings nest in their parent, not in each other"
+        [
+          ("outer", "B");
+          ("a", "B");
+          ("a", "E");
+          ("b", "B");
+          ("b", "E");
+          ("outer", "E");
+        ]
+        (trace_events (Obs.Trace.to_string ())))
+
 let test_trace_validator_rejects () =
   let bad =
     [
@@ -1140,6 +1164,8 @@ let () =
           Alcotest.test_case "validator rejects" `Quick
             test_trace_validator_rejects;
           Alcotest.test_case "multi-process merge" `Quick test_trace_merge;
+          Alcotest.test_case "touching siblings" `Quick
+            test_trace_touching_siblings;
         ] );
       ( "phase",
         [

@@ -2529,7 +2529,7 @@ let with_parked_mux ~max_pending f =
       Domain.join runner;
       Serve.Server.shutdown server)
   @@ fun () ->
-  Parallel.Pool.submit (Serve.Server.pool server) (fun () ->
+  Parallel.Pool.submit (Serve.Server.service server).Serve.Server.pool (fun () ->
       Atomic.set parked true;
       while not (Atomic.get release) do
         Unix.sleepf 0.001
@@ -2643,6 +2643,246 @@ let test_mux_session_order () =
   | Ok (Some (Serve.Proto.Health_reply _)) -> ()
   | _ -> Alcotest.fail "expected the health reply last"
 
+(* --- router on the mux ------------------------------------------------------ *)
+
+let temp_sock name =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "serve_%s_%d.sock" name (Unix.getpid ()))
+
+(* Run [mux] on its own domain; the result stops and joins it. *)
+let start_mux mux =
+  let runner = Domain.spawn (fun () -> Serve.Mux.run mux) in
+  fun () ->
+    Serve.Mux.stop mux;
+    Domain.join runner
+
+(* An in-process backend: a one-domain server (every frame answered on
+   its loop, in arrival order) on a mux listening at [path]. *)
+let with_backend path f =
+  let server =
+    Serve.Server.create
+      { Serve.Server.default_config with cache_capacity = 16; jobs = 1 }
+  in
+  let mux = Serve.Mux.create server in
+  Serve.Mux.add_unix mux ~path;
+  let stop = start_mux mux in
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      Serve.Server.shutdown server)
+    f
+
+(* A router mux over [backends] on a loopback port. *)
+let with_router ?jobs backends f =
+  (* a backend that vanishes must cost an error reply, not the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let router = Serve.Router.create ?jobs backends in
+  let mux = Serve.Mux.of_service (Serve.Router.service router) in
+  let port =
+    match Serve.Mux.add_tcp mux ~host:"127.0.0.1" ~port:0 with
+    | Unix.ADDR_INET (_, port) -> port
+    | _ -> Alcotest.fail "expected a TCP address"
+  in
+  let stop = start_mux mux in
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      Serve.Router.shutdown router)
+  @@ fun () ->
+  let fd, ic, oc = mux_connect port in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () -> f router port (ic, oc)
+
+let solve_frame ?tid inst =
+  Serve.Proto.Solve
+    {
+      Serve.Proto.solver = None;
+      deadline_ms = None;
+      instance = inst;
+      trace = Option.map (fun tid -> { Serve.Proto.tid; parent = None }) tid;
+    }
+
+(* The first generated instance that the router sends to [shard]. *)
+let instance_on router shard ~seed =
+  let rec go seed =
+    let inst = Workloads.Gen.uniform (rng seed) ~n:8 ~m:3 ~k:2 () in
+    if Serve.Router.shard_of_incoming router (solve_frame inst) = shard then inst
+    else go (seed + 1)
+  in
+  go seed
+
+let read_reply ic =
+  match Serve.Proto.read_response ic with
+  | Ok (Some (Serve.Proto.Reply r)) -> r
+  | Ok (Some (Serve.Proto.Error msg)) -> Alcotest.fail msg
+  | _ -> Alcotest.fail "expected a solve reply"
+
+let forwarded backend =
+  Obs.Labeled.value
+    (Obs.Labeled.cell
+       (Obs.Labeled.family "serve.router.forwarded" ~label:"backend")
+       (string_of_int backend))
+
+let test_router_pipelined_solves () =
+  (* each instance is solved once on its shard; a pipelined burst of
+     relabelings on one connection, forwarded concurrently by three
+     workers, answers in order and every reply comes from the cache of
+     the shard that solved the original *)
+  let b0 = temp_sock "rt_b0" and b1 = temp_sock "rt_b1" in
+  with_backend b0 @@ fun () ->
+  with_backend b1 @@ fun () ->
+  with_router [ b0; b1 ] @@ fun router _port (ic, oc) ->
+  let insts = [| instance_on router 0 ~seed:100; instance_on router 1 ~seed:100 |] in
+  let fwd0 = Array.map forwarded [| 0; 1 |] in
+  Array.iter
+    (fun inst ->
+      Serve.Proto.write_incoming oc (solve_frame inst);
+      Alcotest.(check bool) "the original misses" false
+        (read_reply ic).Serve.Proto.cache_hit)
+    insts;
+  let r = rng 7 in
+  let n = 8 in
+  for i = 1 to n do
+    Serve.Proto.write_incoming oc
+      (solve_frame
+         ~tid:(Printf.sprintf "rt.%d" i)
+         (Serve.Canon.shuffle r insts.(i mod 2)))
+  done;
+  for i = 1 to n do
+    let reply = read_reply ic in
+    Alcotest.(check (option string)) "replies arrive in request order"
+      (Some (Printf.sprintf "rt.%d" i))
+      reply.Serve.Proto.trace;
+    Alcotest.(check bool) "a relabeling hits its shard's cache" true
+      reply.Serve.Proto.cache_hit
+  done;
+  Array.iteri
+    (fun b before ->
+      Alcotest.(check int)
+        (Printf.sprintf "backend %d forwarded its share" b)
+        (1 + (n / 2))
+        (forwarded b - before))
+    fwd0
+
+let test_router_session_pipeline () =
+  (* two session lifecycles interleaved with a solve, all written before
+     any reply is read: the router forwards one connection's session
+     frames one at a time, so no frame overtakes the create it needs *)
+  let b0 = temp_sock "rs_b0" and b1 = temp_sock "rs_b1" in
+  with_backend b0 @@ fun () ->
+  with_backend b1 @@ fun () ->
+  with_router [ b0; b1 ] @@ fun router _port (ic, oc) ->
+  let sid_on shard =
+    let rec go i =
+      let sid = Printf.sprintf "rs-%d" i in
+      let frame =
+        Serve.Proto.Session { Serve.Proto.sid; op = Serve.Proto.S_close; trace = None }
+      in
+      if Serve.Router.shard_of_incoming router frame = shard then sid else go (i + 1)
+    in
+    go 0
+  in
+  let s0 = sid_on 0 and s1 = sid_on 1 in
+  let inst = Workloads.Gen.uniform (rng 61) ~n:8 ~m:3 ~k:2 () in
+  let job = { Core.Instance.nsize = 3.0; nclass = 0; nptimes = None; neligible = None } in
+  let resolve = Serve.Proto.S_resolve { deadline_ms = None } in
+  let frames =
+    Serve.Proto.
+      [
+        (s0, S_create inst); (s1, S_create inst); (s0, S_add_jobs [ job ]);
+        (s1, resolve); (s0, resolve); (s1, S_drop_jobs [ 0 ]); (s0, S_close);
+        (s1, resolve); (s1, S_close);
+      ]
+  in
+  List.iteri
+    (fun i (sid, op) ->
+      if i = 3 then Serve.Proto.write_incoming oc (solve_frame ~tid:"rs.solve" inst);
+      Serve.Proto.write_session_request oc { sid; op; trace = None })
+    frames;
+  List.iteri
+    (fun i (sid, _) ->
+      if i = 3 then
+        Alcotest.(check (option string)) "the solve answers in its place"
+          (Some "rs.solve") (read_reply ic).Serve.Proto.trace;
+      match Serve.Proto.read_response ic with
+      | Ok (Some (Serve.Proto.Session_reply r)) ->
+          Alcotest.(check string) "the reply is for its session" sid r.Serve.Proto.sid
+      | Ok (Some (Serve.Proto.Error msg)) -> Alcotest.failf "%s: %s" sid msg
+      | _ -> Alcotest.failf "%s: expected a session reply" sid)
+    frames
+
+let test_router_held_client () =
+  (* one forwarding worker (pool of 2) and a client parked mid-frame:
+     the loop, not a worker, holds the partial frame, so another
+     client's stats frame is still forwarded and answered. The wait is
+     bounded so a stalled router fails the test instead of hanging it. *)
+  let b0 = temp_sock "rh_b0" in
+  with_backend b0 @@ fun () ->
+  with_router ~jobs:2 [ b0 ] @@ fun _router port (_ic, oc) ->
+  output_string oc "request v1\n";
+  flush oc;
+  let fd, ic2, oc2 = mux_connect port in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Serve.Proto.write_incoming oc2 (Serve.Proto.Stats Serve.Proto.Prometheus);
+  (match Unix.select [ fd ] [] [] 10.0 with
+  | [], _, _ -> Alcotest.fail "no stats reply within 10 s"
+  | _ -> ());
+  match Serve.Proto.read_response ic2 with
+  | Ok (Some (Serve.Proto.Stats_reply { body; _ })) ->
+      Alcotest.(check bool) "backend 0's exposition" true
+        (Astring.String.is_infix ~affix:"serve_requests" body)
+  | _ -> Alcotest.fail "expected a stats reply"
+
+let test_router_backend_failure () =
+  (* one live backend and one path nobody listens on: frames for the
+     dead shard get an error reply naming it, the same connection keeps
+     being served for the live shard, each failed forward counts once,
+     once a server starts on the dead path the router dials it, and
+     when that server is restarted the next frame still gets through *)
+  let live = temp_sock "rf_live" and dead = temp_sock "rf_dead" in
+  (try Sys.remove dead with Sys_error _ -> ());
+  with_backend live @@ fun () ->
+  with_router [ live; dead ] @@ fun router _port (ic, oc) ->
+  let on_live = instance_on router 0 ~seed:200
+  and on_dead = instance_on router 1 ~seed:200 in
+  let errors0 = counter "serve.router.backend_errors" in
+  let expected = Printf.sprintf "backend %s: cannot connect to %s: " dead dead in
+  List.iter
+    (fun inst -> Serve.Proto.write_incoming oc (solve_frame inst))
+    [ on_dead; on_live; on_dead; on_live; on_dead ];
+  List.iter
+    (fun to_live ->
+      match Serve.Proto.read_response ic with
+      | Ok (Some (Serve.Proto.Reply _)) when to_live -> ()
+      | Ok (Some (Serve.Proto.Error msg)) when not to_live ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names the dead backend" msg)
+            true
+            (Astring.String.is_prefix ~affix:expected msg)
+      | other ->
+          Alcotest.failf "expected %s, got %s"
+            (if to_live then "a reply from the live backend"
+             else "an error reply for the dead backend")
+            (match other with
+            | Ok (Some r) -> Serve.Proto.response_to_string r
+            | Ok None -> "end of stream"
+            | Error msg -> msg))
+    [ false; true; false; true; false ];
+  Alcotest.(check int) "one error per failed forward" 3
+    (counter "serve.router.backend_errors" - errors0);
+  let forward_to_dead () =
+    with_backend dead @@ fun () ->
+    Serve.Proto.write_incoming oc (solve_frame on_dead);
+    ignore (read_reply ic)
+  in
+  forward_to_dead ();
+  (* restarted: the router's idle connection to the stopped process is
+     dropped, not used *)
+  forward_to_dead ();
+  Alcotest.(check int) "the revived, then restarted backend is reached" 3
+    (counter "serve.router.backend_errors" - errors0)
+
 let () =
   Alcotest.run "serve"
     [
@@ -2739,6 +2979,14 @@ let () =
         [
           Alcotest.test_case "consistent-hash ring" `Quick test_router_ring;
           Alcotest.test_case "shard affinity" `Quick test_router_affinity;
+          Alcotest.test_case "pipelined solves on the mux" `Quick
+            test_router_pipelined_solves;
+          Alcotest.test_case "pipelined session lifecycles" `Quick
+            test_router_session_pipeline;
+          Alcotest.test_case "held client does not stall others" `Quick
+            test_router_held_client;
+          Alcotest.test_case "backend failure and re-dial" `Quick
+            test_router_backend_failure;
         ] );
       ( "session",
         [
