@@ -110,13 +110,16 @@ let tests =
       Test.make ~name:"simplex 60x60"
         (Staged.stage
            (let rng = Workloads.Rng.create 2024 in
-            let a =
+            (* A x = b, x >= 0 *)
+            let rows =
               Array.init 60 (fun _ ->
-                  Array.init 60 (fun _ -> Workloads.Rng.float rng))
+                  Array.init 60 (fun j -> (j, Workloads.Rng.float rng)))
             in
             let b = Array.init 60 (fun _ -> 30.0 +. Workloads.Rng.float rng) in
             let c = Array.init 60 (fun _ -> Workloads.Rng.float rng -. 0.5) in
-            fun () -> ignore (Lp.Simplex.solve ~a ~b ~c ())));
+            let lb = Array.make 60 0.0 and ub = Array.make 60 infinity in
+            let eq = Array.make 60 true in
+            fun () -> ignore (Lp.Simplex.solve ~rows ~b ~c ~lb ~ub ~eq)));
     ]
 
 let benchmark () =
@@ -158,62 +161,47 @@ let benchmark () =
    machine-readable across runs and scripts/bench_gate.sh can compare
    either producer against the committed baseline. *)
 
-(* Per-iteration latencies for percentile-bearing benchmarks land here;
-   reset at the start of each measurement so a record's quantiles are
-   its own. *)
-let h_iter = Obs.Histogram.make "bench.iteration_latency_us"
+(* Exact nearest-rank percentiles of per-iteration latencies (sorted in
+   place). Exact values, not histogram buckets: a bucket spans up to ~25%,
+   and the profiler overhead gate checks a 3% p50 bound. *)
+let percentiles_of lat =
+  let n = Array.length lat in
+  Array.sort compare lat;
+  let q p =
+    let idx = int_of_float (Float.round (p *. float_of_int n)) - 1 in
+    lat.(max 0 (min (n - 1) idx))
+  in
+  List.map (fun (label, p) -> (label ^ "_us", q p)) Obs.Expo.quantile_points
+  @ [ ("max_us", lat.(n - 1)) ]
 
 let measure ?(with_percentiles = false) ~name ~iterations f =
-  if with_percentiles then Obs.Histogram.reset h_iter;
+  let lat = Array.make (if with_percentiles then iterations else 0) 0.0 in
   let before = Obs.Counter.snapshot () in
   let t0 = Obs.Sink.now_us () in
-  for _ = 1 to iterations do
+  for i = 0 to iterations - 1 do
     if with_percentiles then begin
       let s0 = Obs.Sink.now_us () in
       f ();
-      Obs.Histogram.observe h_iter (Obs.Sink.now_us () -. s0)
+      lat.(i) <- Obs.Sink.now_us () -. s0
     end
     else f ()
   done;
   let wall_ns = (Obs.Sink.now_us () -. t0) *. 1e3 in
   let counters = Obs.Counter.delta ~before ~after:(Obs.Counter.snapshot ()) in
-  let percentiles =
-    if not with_percentiles then []
-    else
-      let s = Obs.Histogram.merged h_iter in
-      let q p = Obs.Histogram.quantile s p in
-      List.map
-        (fun (label, p) -> (label ^ "_us", q p))
-        Obs.Expo.quantile_points
-      @ [ ("max_us", s.Obs.Histogram.max_value) ]
-  in
+  let percentiles = if with_percentiles then percentiles_of lat else [] in
   { Obs.Expo.bname = name; iterations; wall_ns; percentiles; counters; trace_ids = [] }
 
-(* Exact per-iteration percentiles (sorted array, nearest rank) for
-   records whose comparisons need finer resolution than the histogram's
-   exponential buckets offer (a bucket spans up to ~25%): the profiler
-   overhead gate checks a 3% p50 bound, invisible to bucket bounds. *)
-let measure_exact ~name ~iterations f =
-  let lat = Array.make iterations 0.0 in
-  let before = Obs.Counter.snapshot () in
-  let t0 = Obs.Sink.now_us () in
-  for i = 0 to iterations - 1 do
-    let s0 = Obs.Sink.now_us () in
-    f ();
-    lat.(i) <- Obs.Sink.now_us () -. s0
-  done;
-  let wall_ns = (Obs.Sink.now_us () -. t0) *. 1e3 in
-  let counters = Obs.Counter.delta ~before ~after:(Obs.Counter.snapshot ()) in
-  Array.sort compare lat;
-  let q p =
-    let idx = int_of_float (Float.round (p *. float_of_int iterations)) - 1 in
-    lat.(max 0 (min (iterations - 1) idx))
-  in
-  let percentiles =
-    List.map (fun (label, p) -> (label ^ "_us", q p)) Obs.Expo.quantile_points
-    @ [ ("max_us", lat.(iterations - 1)) ]
-  in
-  { Obs.Expo.bname = name; iterations; wall_ns; percentiles; counters; trace_ids = [] }
+(* A record's counters narrowed to [names], 0 where one did not move, so
+   the hard gate pins exactly these and fails on a zero that drifts. *)
+let only_counters names (r : Obs.Expo.bench_record) =
+  {
+    r with
+    Obs.Expo.counters =
+      List.map
+        (fun name ->
+          (name, Option.value ~default:0 (List.assoc_opt name r.Obs.Expo.counters)))
+        names;
+  }
 
 let ns_per_iter (r : Obs.Expo.bench_record) =
   r.Obs.Expo.wall_ns /. float_of_int r.Obs.Expo.iterations
@@ -279,7 +267,8 @@ let serve_benchmarks () =
   let server = fresh_server () in
   ignore (Serve.Server.handle_request server (exact_request inst12));
   let hit =
-    measure_exact ~name:"serve cache hit n=12" ~iterations:200 (fun () ->
+    measure ~with_percentiles:true ~name:"serve cache hit n=12" ~iterations:200
+      (fun () ->
         let permuted = Serve.Canon.shuffle rng inst12 in
         expect_hit "hit" (Serve.Server.handle_request server (exact_request permuted)))
   in
@@ -294,8 +283,9 @@ let serve_benchmarks () =
     | Error msg -> failwith ("profile overhead bench: " ^ msg)
     | Ok () ->
         let r =
-          measure_exact ~name:"serve cache hit n=12 profiled 99hz"
-            ~iterations:200 (fun () ->
+          measure ~with_percentiles:true
+            ~name:"serve cache hit n=12 profiled 99hz" ~iterations:200
+            (fun () ->
               let permuted = Serve.Canon.shuffle rng inst12 in
               expect_hit "hit profiled"
                 (Serve.Server.handle_request server (exact_request permuted)))
@@ -433,25 +423,36 @@ let serve_benchmarks () =
     let t =
       Workloads.Gen.unrelated (Workloads.Rng.create 3101) ~n:40 ~m:3 ~k:3 ()
     in
-    let r =
-      measure_exact ~name:"ILP-UM search n=40 m=3 k=3" ~iterations:20
-        (fun () -> ignore (Algos.Lp_um.lower_bound t))
+    only_counters
+      [
+        "core.binary_search.probes";
+        "lp.simplex.phase1_iters";
+        "lp.simplex.solves";
+        "lp.simplex.warm_fallbacks";
+      ]
+      (measure ~with_percentiles:true ~name:"ILP-UM search n=40 m=3 k=3"
+         ~iterations:20 (fun () -> ignore (Algos.Lp_um.lower_bound t)))
+  in
+  (* Cold LP work: the 2-approximation of Section 3.3.1 on restricted
+     class-uniform machines solves one class-uniform relaxation from the
+     slack basis at every probe of its binary search, so its counters
+     are the cold engine's work — probes, LP solves, dual pivots (phase
+     1) and primal pivots (phase 2) — and the hard counter gate fails on
+     any drift. *)
+  let ra_cold =
+    let t =
+      Workloads.Gen.restricted_class_uniform (Workloads.Rng.create 3201) ~n:40
+        ~m:4 ~k:4 ()
     in
-    {
-      r with
-      Obs.Expo.counters =
-        List.map
-          (fun name ->
-            ( name,
-              Option.value ~default:0
-                (List.assoc_opt name r.Obs.Expo.counters) ))
-          [
-            "core.binary_search.probes";
-            "lp.simplex.phase1_iters";
-            "lp.simplex.solves";
-            "lp.simplex.warm_fallbacks";
-          ];
-    }
+    only_counters
+      [
+        "core.binary_search.probes";
+        "lp.simplex.phase1_iters";
+        "lp.simplex.phase2_iters";
+        "lp.simplex.solves";
+      ]
+      (measure ~name:"RA class-uniform 2-approx n=40 m=4 k=4" ~iterations:5
+         (fun () -> ignore (Algos.Ra_class_uniform.schedule t)))
   in
   (* flight recorder: one retained emit with two fields — the per-event
      cost every instrumented layer pays on the hot path *)
@@ -515,8 +516,8 @@ let serve_benchmarks () =
     done;
     let turn = ref 0 in
     let r =
-      measure_exact ~name:"mux held connections=64 hit n=12" ~iterations:256
-        (fun () ->
+      measure ~with_percentiles:true ~name:"mux held connections=64 hit n=12"
+        ~iterations:256 (fun () ->
           roundtrip !turn;
           incr turn)
     in
@@ -598,20 +599,11 @@ let serve_benchmarks () =
     Serve.Mux.stop mux;
     Domain.join runner;
     Serve.Server.shutdown oserver;
-    Array.sort compare lat;
-    let q p =
-      let idx = int_of_float (Float.round (p *. float_of_int iterations)) - 1 in
-      lat.(max 0 (min (iterations - 1) idx))
-    in
-    let percentiles =
-      List.map (fun (label, p) -> (label ^ "_us", q p)) Obs.Expo.quantile_points
-      @ [ ("max_us", lat.(iterations - 1)) ]
-    in
     {
       Obs.Expo.bname = "mux overload burst=9 queue=4";
       iterations;
       wall_ns;
-      percentiles;
+      percentiles = percentiles_of lat;
       counters =
         ledger
         @ [ ("serve.mux.replies", iterations); ("serve.mux.queue_bound", 4) ];
@@ -627,6 +619,7 @@ let serve_benchmarks () =
       session_repair;
       session_hit;
       ilp_um;
+      ra_cold;
       event;
       span_emit;
       health;

@@ -18,10 +18,10 @@ type fractional = {
 }
 
 val feasible : Core.Instance.t -> makespan:float -> fractional option
-(** Solve the relaxation at a fixed guess with a fresh LP (two-phase
-    primal simplex). [None] = LP infeasible, hence no schedule with
-    makespan [<= makespan] exists. The reference for {!lower_bound}'s
-    warm probes and their fallback. *)
+(** Solve the relaxation at a fixed guess with a fresh LP (the dual
+    simplex from the slack basis). [None] = LP infeasible, hence no
+    schedule with makespan [<= makespan] exists. The reference for
+    {!lower_bound}'s warm probes and their fallback. *)
 
 type bound = {
   lower : float;

@@ -51,30 +51,7 @@ type solution = {
 
 type result = Optimal of solution | Infeasible | Unbounded | Aborted
 
-(* Lowering: each original variable becomes either one shifted column
-   (x = col + lb) or, when free, a difference of two columns. Finite upper
-   bounds become extra <= rows. Each inequality gets one slack column. *)
-type lowering = {
-  col_of_var : int array; (* first column of each variable *)
-  split : bool array; (* true if variable is free (two columns) *)
-  nstd : int; (* structural columns (before slacks) *)
-}
-
-let lower_with t eff_lb =
-  let col_of_var = Array.make t.nvars 0 in
-  let split = Array.make t.nvars false in
-  let next = ref 0 in
-  for v = 0 to t.nvars - 1 do
-    col_of_var.(v) <- !next;
-    if eff_lb.(v) = neg_infinity then begin
-      split.(v) <- true;
-      next := !next + 2
-    end
-    else incr next
-  done;
-  { col_of_var; split; nstd = !next }
-
-let solve ?(maximize = false) ?(eps = 1e-9) ?(overrides = []) t =
+let solve ?(maximize = false) ?(overrides = []) t =
   let eff_lb = Array.init t.nvars (fun v -> t.vars.(v).lb) in
   let eff_ub = Array.init t.nvars (fun v -> t.vars.(v).ub) in
   List.iter
@@ -82,89 +59,66 @@ let solve ?(maximize = false) ?(eps = 1e-9) ?(overrides = []) t =
       if v < 0 || v >= t.nvars then invalid_arg "Lp.solve: foreign override";
       if lb > ub then invalid_arg "Lp.solve: override lb > ub";
       eff_lb.(v) <- Float.max eff_lb.(v) lb;
-      eff_ub.(v) <- Float.min eff_ub.(v) ub;
-      if eff_lb.(v) > eff_ub.(v) then
-        (* keep going: the LP will come out infeasible via the bound rows *)
-        ())
+      eff_ub.(v) <- Float.min eff_ub.(v) ub)
     overrides;
-  (* fast infeasibility from contradictory overrides *)
   let contradictory = ref false in
   for v = 0 to t.nvars - 1 do
     if eff_lb.(v) > eff_ub.(v) then contradictory := true
   done;
   if !contradictory then Infeasible
   else
-  let low = lower_with t eff_lb in
-  (* Collect all rows: user constraints (newest first is fine; order is
-     irrelevant) plus upper-bound rows. *)
-  let ub_rows =
-    let acc = ref [] in
-    for v = t.nvars - 1 downto 0 do
-      if eff_ub.(v) < infinity then
-        (* x <= ub  ~>  col (+ lb) <= ub, and for free vars col+ - col- <= ub *)
-        acc := { terms = [ (1.0, v) ]; rel = Le; rhs = eff_ub.(v) } :: !acc
-    done;
-    !acc
+  (* Each variable becomes tableau columns with a finite lower bound:
+     itself, its negation when only its upper bound is finite, or the
+     difference of two nonnegative columns when it is free. *)
+  let cols = Array.make t.nvars [] and lb = ref [] and ub = ref [] in
+  let next = ref 0 in
+  let column sign l u =
+    lb := l :: !lb;
+    ub := u :: !ub;
+    incr next;
+    (!next - 1, sign)
   in
-  let rows = List.rev_append t.constrs ub_rows in
-  let m = List.length rows in
-  let nslack =
-    List.fold_left
-      (fun acc r -> match r.rel with Eq -> acc | Le | Ge -> acc + 1)
-      0 rows
-  in
-  let ncols = low.nstd + nslack in
-  let a = Array.make_matrix m ncols 0.0 in
-  let b = Array.make m 0.0 in
-  let next_slack = ref low.nstd in
-  List.iteri
-    (fun r { terms; rel; rhs } ->
-      let rhs = ref rhs in
-      List.iter
-        (fun (coeff, v) ->
-          let col = low.col_of_var.(v) in
-          if low.split.(v) then begin
-            a.(r).(col) <- a.(r).(col) +. coeff;
-            a.(r).(col + 1) <- a.(r).(col + 1) -. coeff
-          end
-          else begin
-            a.(r).(col) <- a.(r).(col) +. coeff;
-            (* shift by lb: coeff * (col + lb) *)
-            rhs := !rhs -. (coeff *. eff_lb.(v))
-          end)
-        terms;
-      b.(r) <- !rhs;
-      (match rel with
-      | Eq -> ()
-      | Le ->
-          a.(r).(!next_slack) <- 1.0;
-          incr next_slack
-      | Ge ->
-          a.(r).(!next_slack) <- -1.0;
-          incr next_slack))
-    rows;
-  let c = Array.make ncols 0.0 in
-  let sign = if maximize then -1.0 else 1.0 in
   for v = 0 to t.nvars - 1 do
-    let col = low.col_of_var.(v) in
-    let coeff = sign *. t.vars.(v).obj in
-    if low.split.(v) then begin
-      c.(col) <- coeff;
-      c.(col + 1) <- -.coeff
-    end
-    else c.(col) <- coeff
+    let l = eff_lb.(v) and u = eff_ub.(v) in
+    cols.(v) <-
+      (if l > neg_infinity then [ column 1.0 l u ]
+       else if u < infinity then [ column (-1.0) (-.u) infinity ]
+       else
+         let plus = column 1.0 0.0 infinity in
+         [ plus; column (-1.0) 0.0 infinity ])
   done;
-  match Simplex.solve ~eps ~a ~b ~c () with
+  let lb = Array.of_list (List.rev !lb) and ub = Array.of_list (List.rev !ub) in
+  let c = Array.make !next 0.0 in
+  let sense = if maximize then -1.0 else 1.0 in
+  Array.iteri
+    (fun v cs ->
+      List.iter (fun (col, sign) -> c.(col) <- sense *. sign *. t.vars.(v).obj) cs)
+    cols;
+  (* A [>=] row is negated into a [<=] row; an equation fixes its
+     logical column at 0. *)
+  let constrs = Array.of_list (List.rev t.constrs) in
+  let flip { rel; _ } = if rel = Ge then -1.0 else 1.0 in
+  let rows =
+    Array.map
+      (fun ({ terms; _ } as r) ->
+        Array.of_list
+          (List.concat_map
+             (fun (coeff, v) ->
+               List.map (fun (col, sign) -> (col, flip r *. sign *. coeff)) cols.(v))
+             terms))
+      constrs
+  in
+  let b = Array.map (fun r -> flip r *. r.rhs) constrs in
+  let eq = Array.map (fun r -> r.rel = Eq) constrs in
+  match Simplex.solve ~rows ~b ~c ~lb ~ub ~eq with
   | Simplex.Infeasible -> Infeasible
   | Simplex.Unbounded -> Unbounded
   | Simplex.Iteration_limit -> Aborted
   | Simplex.Optimal { x; _ } ->
       let var_values =
         Array.init t.nvars (fun v ->
-            let col = low.col_of_var.(v) in
             let raw =
-              if low.split.(v) then x.(col) -. x.(col + 1)
-              else x.(col) +. eff_lb.(v)
+              List.fold_left (fun acc (col, sign) -> acc +. (sign *. x.(col))) 0.0 cols.(v)
             in
             Float.min eff_ub.(v) (Float.max eff_lb.(v) raw))
       in
@@ -178,7 +132,6 @@ let solve ?(maximize = false) ?(eps = 1e-9) ?(overrides = []) t =
 let objective_value s = s.objective
 let value s v = s.var_values.(v)
 let values s = Array.copy s.var_values
-let is_vertex_hint _ = true
 
 let pp_solution t ppf s =
   Format.fprintf ppf "@[<v>objective = %g@," s.objective;

@@ -1,10 +1,16 @@
 (** Linear-program model builder on top of {!Simplex}.
 
     Variables carry bounds and objective coefficients; constraints are
-    linear with [<=], [>=] or [=]. The builder lowers the model to standard
-    form (shifting lower bounds, splitting free variables, adding slack
-    columns and upper-bound rows) and recovers solution values in terms of
-    the original variables. *)
+    linear with [<=], [>=] or [=]. The builder hands bounds and row senses
+    to the tableau as column and logical bounds: a variable becomes one
+    column with its own bounds (negated when only its upper bound is
+    finite, split into two nonnegative columns when free), a [>=] row is
+    negated into a [<=] row, and an equation's logical column is fixed at
+    0. No row is added for a bound. Solution values are recovered in
+    terms of the original variables. The tableau starts from the slack
+    basis; its primal phase runs only when a cost points at an infinite
+    bound (a maximized or negative cost on a variable without a finite
+    upper bound, or any cost on a free variable). *)
 
 type t
 (** A mutable model under construction. *)
@@ -44,7 +50,6 @@ type result =
 
 val solve :
   ?maximize:bool ->
-  ?eps:float ->
   ?overrides:(var * (float * float)) list ->
   t ->
   result
@@ -52,8 +57,8 @@ val solve :
     and extended between solves. [overrides] temporarily tightens variable
     bounds for this solve only — [(v, (lb, ub))] intersects [v]'s bounds
     with [[lb, ub]] — which is what branch and bound ({!Mip}) uses to fix
-    variables without mutating the model. Contradictory overrides yield
-    [Infeasible]. *)
+    variables without mutating the model; they reach the tableau as column
+    bounds. Contradictory overrides yield [Infeasible]. *)
 
 val objective_value : solution -> float
 
@@ -63,10 +68,5 @@ val value : solution -> var -> float
 
 val values : solution -> float array
 (** All variable values, indexed by creation order. *)
-
-val is_vertex_hint : solution -> bool
-(** Always true for solutions produced here: the simplex returns basic
-    solutions, i.e. vertices. Exposed for documentation of intent at call
-    sites that require extreme points. *)
 
 val pp_solution : t -> Format.formatter -> solution -> unit

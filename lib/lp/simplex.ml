@@ -1,353 +1,8 @@
 type outcome =
-  | Optimal of { objective : float; x : float array; basis : int array }
+  | Optimal of { objective : float; x : float array }
   | Infeasible
   | Unbounded
   | Iteration_limit
-
-let c_solves = Obs.Counter.make "lp.simplex.solves"
-let c_phase1_iters = Obs.Counter.make "lp.simplex.phase1_iters"
-let c_phase2_iters = Obs.Counter.make "lp.simplex.phase2_iters"
-let c_degenerate = Obs.Counter.make "lp.simplex.degenerate_pivots"
-let c_bland = Obs.Counter.make "lp.simplex.bland_switches"
-
-(* Internal mutable state: the tableau is kept in canonical form (basis
-   columns are unit vectors) together with a reduced-cost row [z]. All hot
-   loops use unsafe accesses; shapes are validated once in [solve]. *)
-type state = {
-  m : int;
-  ncols : int;
-  tab : float array array; (* m rows of length ncols *)
-  rhs : float array; (* length m, kept >= -eps *)
-  basis : int array; (* basic column of each row *)
-  z : float array; (* reduced costs, length ncols *)
-  banned : bool array; (* columns that may never enter (artificials) *)
-  eps : float;
-  nz : int array; (* scratch: nonzero columns of the pivot row *)
-}
-
-(* Rows of the LPs solved here are sparse, so a pivot collects the
-   nonzeros of the pivot row once and eliminates over those alone; a zero
-   entry would leave every other row unchanged anyway. *)
-let pivot st r j =
-  let row = st.tab.(r) in
-  let piv = row.(j) in
-  let inv = 1.0 /. piv in
-  let nnz = ref 0 in
-  for t = 0 to st.ncols - 1 do
-    let v = Array.unsafe_get row t in
-    if v <> 0.0 then begin
-      Array.unsafe_set row t (v *. inv);
-      Array.unsafe_set st.nz !nnz t;
-      incr nnz
-    end
-  done;
-  let nnz = !nnz in
-  row.(j) <- 1.0;
-  st.rhs.(r) <- st.rhs.(r) *. inv;
-  let eliminate target f =
-    for q = 0 to nnz - 1 do
-      let t = Array.unsafe_get st.nz q in
-      Array.unsafe_set target t
-        (Array.unsafe_get target t -. (f *. Array.unsafe_get row t))
-    done;
-    target.(j) <- 0.0
-  in
-  for r' = 0 to st.m - 1 do
-    if r' <> r then begin
-      let row' = st.tab.(r') in
-      let f = Array.unsafe_get row' j in
-      if f <> 0.0 then begin
-        eliminate row' f;
-        st.rhs.(r') <- st.rhs.(r') -. (f *. st.rhs.(r))
-      end
-    end
-  done;
-  let f = st.z.(j) in
-  if f <> 0.0 then eliminate st.z f;
-  st.basis.(r) <- j
-
-(* Entering column: Dantzig unless [bland]. Returns -1 at optimality. *)
-let entering st ~bland =
-  if bland then (
-    let j = ref (-1) in
-    (try
-       for t = 0 to st.ncols - 1 do
-         if (not st.banned.(t)) && st.z.(t) < -.st.eps then begin
-           j := t;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !j)
-  else begin
-    let best = ref (-.st.eps) and j = ref (-1) in
-    for t = 0 to st.ncols - 1 do
-      if (not st.banned.(t)) && st.z.(t) < !best then begin
-        best := st.z.(t);
-        j := t
-      end
-    done;
-    !j
-  end
-
-(* Leaving row by the minimum-ratio test; ties broken towards the smallest
-   basic column index so that Bland's rule is honoured. -1 = unbounded. *)
-let leaving st j =
-  let best_ratio = ref infinity and r = ref (-1) in
-  for r' = 0 to st.m - 1 do
-    let a = st.tab.(r').(j) in
-    if a > st.eps then begin
-      let ratio = st.rhs.(r') /. a in
-      if
-        ratio < !best_ratio -. st.eps
-        || (ratio < !best_ratio +. st.eps
-           && (!r < 0 || st.basis.(r') < st.basis.(!r)))
-      then begin
-        best_ratio := ratio;
-        r := r'
-      end
-    end
-  done;
-  !r
-
-type phase_result = P_optimal | P_unbounded | P_iterations
-
-(* Per-phase pivot statistics, accumulated locally and flushed to the
-   process-wide counters once per [solve] so the pivot loop never touches
-   shared memory. *)
-type phase_counts = {
-  mutable iters : int;
-  mutable degen : int;
-  mutable bland : int;
-}
-
-let fresh_counts () = { iters = 0; degen = 0; bland = 0 }
-
-let run_phase st ~max_iters ~counts =
-  let degenerate_run = ref 0 in
-  let rec go iters =
-    if iters > max_iters then P_iterations
-    else
-      let j = entering st ~bland:(!degenerate_run > 50) in
-      if j < 0 then P_optimal
-      else
-        let r = leaving st j in
-        if r < 0 then P_unbounded
-        else begin
-          counts.iters <- counts.iters + 1;
-          if st.rhs.(r) <= st.eps then begin
-            incr degenerate_run;
-            counts.degen <- counts.degen + 1;
-            if !degenerate_run = 51 then counts.bland <- counts.bland + 1
-          end
-          else degenerate_run := 0;
-          pivot st r j;
-          go (iters + 1)
-        end
-  in
-  go 0
-
-let objective_value st cost =
-  let v = ref 0.0 in
-  for r = 0 to st.m - 1 do
-    let b = st.basis.(r) in
-    if b < Array.length cost && cost.(b) <> 0.0 then
-      v := !v +. (cost.(b) *. st.rhs.(r))
-  done;
-  !v
-
-(* Recompute the reduced-cost row from scratch for the given cost vector
-   (costs of columns >= its length are zero). *)
-let set_costs st cost =
-  for t = 0 to st.ncols - 1 do
-    st.z.(t) <- (if t < Array.length cost then cost.(t) else 0.0)
-  done;
-  for r = 0 to st.m - 1 do
-    let b = st.basis.(r) in
-    let cb = if b < Array.length cost then cost.(b) else 0.0 in
-    if cb <> 0.0 then begin
-      let row = st.tab.(r) in
-      for t = 0 to st.ncols - 1 do
-        Array.unsafe_set st.z t
-          (Array.unsafe_get st.z t -. (cb *. Array.unsafe_get row t))
-      done
-    end
-  done;
-  (* Clamp basic columns to an exact zero reduced cost. *)
-  for r = 0 to st.m - 1 do
-    st.z.(st.basis.(r)) <- 0.0
-  done
-
-let solve ?max_iters ?(eps = 1e-9) ~a ~b ~c () =
-  let p1 = fresh_counts () and p2 = fresh_counts () in
-  Obs.Span.phase
-    ~detail:
-      (Printf.sprintf "rows=%d cols=%d" (Array.length a) (Array.length c))
-    ~result_detail:(fun _ ->
-      Printf.sprintf "rows=%d cols=%d iters=%d" (Array.length a)
-        (Array.length c) (p1.iters + p2.iters))
-    "lp.simplex.solve"
-  @@ fun () ->
-  (* single exit point for the counter flush *)
-  let flush result =
-    Obs.Counter.incr c_solves;
-    Obs.Counter.add c_phase1_iters p1.iters;
-    Obs.Counter.add c_phase2_iters p2.iters;
-    Obs.Counter.add c_degenerate (p1.degen + p2.degen);
-    Obs.Counter.add c_bland (p1.bland + p2.bland);
-    result
-  in
-  let m = Array.length a in
-  let n = Array.length c in
-  if Array.length b <> m then invalid_arg "Simplex.solve: |b| must equal rows";
-  Array.iteri
-    (fun r row ->
-      if Array.length row <> n then
-        invalid_arg (Printf.sprintf "Simplex.solve: row %d has wrong width" r))
-    a;
-  let max_iters =
-    match max_iters with Some v -> v | None -> 200 * (m + n + 1)
-  in
-  (* Normalized working copies with rhs >= 0. *)
-  let sign = Array.init m (fun r -> if b.(r) < 0.0 then -1.0 else 1.0) in
-  let rhs = Array.init m (fun r -> sign.(r) *. b.(r)) in
-  let rows = Array.init m (fun r -> Array.map (fun x -> sign.(r) *. x) a.(r)) in
-  (* Detect singleton columns usable as an initial basis (slacks). *)
-  let basis = Array.make m (-1) in
-  let col_rows = Array.make n (-2) in
-  (* -2 = empty, -1 = multiple, r = singleton in row r *)
-  for r = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      if Float.abs rows.(r).(j) > eps then
-        col_rows.(j) <- (if col_rows.(j) = -2 then r else -1)
-    done
-  done;
-  for j = 0 to n - 1 do
-    let r = col_rows.(j) in
-    if r >= 0 && basis.(r) < 0 && rows.(r).(j) > eps then basis.(r) <- j
-  done;
-  let nart = ref 0 in
-  for r = 0 to m - 1 do
-    if basis.(r) < 0 then incr nart
-  done;
-  let ncols = n + !nart in
-  let tab = Array.make_matrix m ncols 0.0 in
-  for r = 0 to m - 1 do
-    Array.blit rows.(r) 0 tab.(r) 0 n
-  done;
-  let next_art = ref n in
-  for r = 0 to m - 1 do
-    if basis.(r) < 0 then begin
-      tab.(r).(!next_art) <- 1.0;
-      basis.(r) <- !next_art;
-      incr next_art
-    end
-    else begin
-      (* Scale the row so the basis coefficient is exactly 1. *)
-      let v = tab.(r).(basis.(r)) in
-      if v <> 1.0 then begin
-        let inv = 1.0 /. v in
-        for t = 0 to ncols - 1 do
-          tab.(r).(t) <- tab.(r).(t) *. inv
-        done;
-        rhs.(r) <- rhs.(r) *. inv
-      end
-    end
-  done;
-  let st =
-    {
-      m;
-      ncols;
-      tab;
-      rhs;
-      basis;
-      z = Array.make ncols 0.0;
-      banned = Array.make ncols false;
-      eps;
-      nz = Array.make ncols 0;
-    }
-  in
-  (* Phase 1: minimize the sum of artificials. *)
-  let phase1_cost = Array.init ncols (fun t -> if t >= n then 1.0 else 0.0) in
-  let outcome =
-    if !nart = 0 then P_optimal
-    else begin
-      set_costs st phase1_cost;
-      run_phase st ~max_iters ~counts:p1
-    end
-  in
-  match outcome with
-  | P_iterations -> flush Iteration_limit
-  | P_unbounded ->
-      (* The phase-1 objective is bounded below by 0; reaching this branch
-         means numerical breakdown. *)
-      flush Iteration_limit
-  | P_optimal ->
-      let feas_tol =
-        eps *. float_of_int (m + 1)
-        *. Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 1.0 b
-      in
-      if !nart > 0 && objective_value st phase1_cost > feas_tol then
-        flush Infeasible
-      else begin
-        (* Drive basic artificials out where possible; rows where no
-           original column has a nonzero entry are redundant and keep their
-           zero-valued artificial. *)
-        for r = 0 to m - 1 do
-          if st.basis.(r) >= n then begin
-            let j = ref (-1) in
-            (try
-               for t = 0 to n - 1 do
-                 if Float.abs st.tab.(r).(t) > sqrt eps then begin
-                   j := t;
-                   raise Exit
-                 end
-               done
-             with Exit -> ());
-            if !j >= 0 then pivot st r !j
-          end
-        done;
-        for t = n to ncols - 1 do
-          st.banned.(t) <- true
-        done;
-        set_costs st c;
-        match run_phase st ~max_iters ~counts:p2 with
-        | P_iterations -> flush Iteration_limit
-        | P_unbounded -> flush Unbounded
-        | P_optimal ->
-            let x = Array.make n 0.0 in
-            for r = 0 to m - 1 do
-              if st.basis.(r) < n then
-                x.(st.basis.(r)) <- Float.max 0.0 st.rhs.(r)
-            done;
-            let objective = ref 0.0 in
-            for t = 0 to n - 1 do
-              objective := !objective +. (c.(t) *. x.(t))
-            done;
-            flush
-              (Optimal
-                 { objective = !objective; x; basis = Array.copy st.basis })
-      end
-
-(* --- warm re-solves: bounded-variable dual simplex ----------------------- *)
-
-(* The tableau spans [n] structural columns and one logical column per
-   row ([a_r·x + s_r = b_r]), so its logical block is the basis inverse:
-   [rhs] is B⁻¹b and row r of that block is a Farkas multiplier when row
-   r proves infeasibility. Nonbasic columns rest at a finite bound chosen
-   by the sign of their reduced cost, which keeps the basis dual feasible
-   whatever the bounds and right-hand side are; only primal feasibility
-   is lost by a change, and the dual simplex restores it. *)
-type warm = {
-  w : state;
-  wn : int;
-  wb : float array; (* current right-hand side *)
-  wlb : float array; (* current bounds of all n + m columns *)
-  wub : float array;
-  at_ub : bool array; (* nonbasic columns resting at their upper bound *)
-  row_of : int array; (* row of each basic column, -1 when nonbasic *)
-  xb : float array; (* value of each row's basic column *)
-}
 
 type row = (int * float) array
 
@@ -356,19 +11,124 @@ type dual_outcome =
   | Farkas of float array
   | Stalled
 
+let c_solves = Obs.Counter.make "lp.simplex.solves"
+let c_phase1_iters = Obs.Counter.make "lp.simplex.phase1_iters"
+let c_phase2_iters = Obs.Counter.make "lp.simplex.phase2_iters"
+let c_degenerate = Obs.Counter.make "lp.simplex.degenerate_pivots"
+let c_bland = Obs.Counter.make "lp.simplex.bland_switches"
 let c_warm_fallbacks = Obs.Counter.make "lp.simplex.warm_fallbacks"
 let record_fallback () = Obs.Counter.incr c_warm_fallbacks
 
-(* Feasibility/optimality tolerance of warm re-solves and certificates,
-   as [solve]'s default. *)
-let warm_eps = 1e-9
+(* Feasibility/optimality tolerance of every solve and certificate. *)
+let eps = 1e-9
 
-let warm ~rows ~b ~c ~lb ~ub ~eq =
+(* The tableau spans [n] structural columns and one logical column per
+   row ([a_r·x + s_r = b_r]), so its logical block is the basis inverse:
+   [rhs] is B⁻¹b and row r of that block is a Farkas multiplier when row
+   r proves infeasibility. It is kept in canonical form (basic columns are
+   unit vectors) together with the reduced-cost row [z]. Every nonbasic
+   column rests on a finite bound, [at_ub] says which, and [xb] holds the
+   basic values that follow from them. All hot loops use unsafe accesses;
+   shapes are validated once in [create]. *)
+type warm = {
+  m : int;
+  n : int;
+  ncols : int; (* n + m *)
+  tab : float array array; (* m rows of length ncols *)
+  rhs : float array; (* B⁻¹b *)
+  basis : int array; (* basic column of each row *)
+  z : float array; (* reduced costs, length ncols *)
+  nz : int array; (* scratch: nonzero columns of the pivot row *)
+  b : float array; (* current right-hand side *)
+  lb : float array; (* current bounds of all n + m columns *)
+  ub : float array;
+  at_ub : bool array; (* nonbasic columns resting at their upper bound *)
+  row_of : int array; (* row of each basic column, -1 when nonbasic *)
+  xb : float array; (* value of each row's basic column *)
+}
+
+(* Rows of the LPs solved here are sparse, so a pivot collects the
+   nonzeros of the pivot row once and eliminates over those alone; a zero
+   entry would leave every other row unchanged anyway. *)
+let pivot w r j =
+  let row = w.tab.(r) in
+  let piv = row.(j) in
+  let inv = 1.0 /. piv in
+  let nnz = ref 0 in
+  for t = 0 to w.ncols - 1 do
+    let v = Array.unsafe_get row t in
+    if v <> 0.0 then begin
+      Array.unsafe_set row t (v *. inv);
+      Array.unsafe_set w.nz !nnz t;
+      incr nnz
+    end
+  done;
+  let nnz = !nnz in
+  row.(j) <- 1.0;
+  w.rhs.(r) <- w.rhs.(r) *. inv;
+  let eliminate target f =
+    for q = 0 to nnz - 1 do
+      let t = Array.unsafe_get w.nz q in
+      Array.unsafe_set target t
+        (Array.unsafe_get target t -. (f *. Array.unsafe_get row t))
+    done;
+    target.(j) <- 0.0
+  in
+  for r' = 0 to w.m - 1 do
+    if r' <> r then begin
+      let row' = w.tab.(r') in
+      let f = Array.unsafe_get row' j in
+      if f <> 0.0 then begin
+        eliminate row' f;
+        w.rhs.(r') <- w.rhs.(r') -. (f *. w.rhs.(r))
+      end
+    end
+  done;
+  let f = w.z.(j) in
+  if f <> 0.0 then eliminate w.z f;
+  w.basis.(r) <- j
+
+(* Pivot statistics of one solve, accumulated locally and flushed to the
+   process-wide counters once, so the pivot loops never touch shared
+   memory. *)
+type counts = {
+  mutable iters : int;
+  mutable degen : int;
+  mutable bland : int;
+}
+
+let fresh_counts () = { iters = 0; degen = 0; bland = 0 }
+
+let count_pivot counts ~degenerate ~degenerate_run =
+  counts.iters <- counts.iters + 1;
+  if degenerate then begin
+    counts.degen <- counts.degen + 1;
+    if degenerate_run = 50 then counts.bland <- counts.bland + 1
+  end
+
+(* Dual pivots count as phase 1, primal pivots as phase 2. *)
+let flush ~dual ~primal =
+  Obs.Counter.incr c_solves;
+  Obs.Counter.add c_phase1_iters dual.iters;
+  Obs.Counter.add c_phase2_iters primal.iters;
+  Obs.Counter.add c_degenerate (dual.degen + primal.degen);
+  Obs.Counter.add c_bland (dual.bland + primal.bland)
+
+(* The slack basis prices column j at c_j, so it is dual feasible when
+   every cost points at a finite bound ([lb] always is). *)
+let slack_basis_dual_feasible ~c ~ub =
+  let ok = ref true in
+  Array.iteri (fun j cj -> if cj < 0.0 && ub.(j) = infinity then ok := false) c;
+  !ok
+
+(* The slack basis: every logical basic, every structural column on the
+   bound its cost asks for. *)
+let create name ~rows ~b ~c ~lb ~ub ~eq =
   let m = Array.length rows and n = Array.length c in
   if Array.length b <> m || Array.length eq <> m then
-    invalid_arg "Simplex.warm: |b| and |eq| must equal rows";
+    invalid_arg (name ^ ": |b| and |eq| must equal rows");
   if Array.length lb <> n || Array.length ub <> n then
-    invalid_arg "Simplex.warm: |lb| and |ub| must equal columns";
+    invalid_arg (name ^ ": |lb| and |ub| must equal columns");
   let ncols = n + m in
   let tab =
     Array.init m (fun r ->
@@ -376,8 +136,7 @@ let warm ~rows ~b ~c ~lb ~ub ~eq =
         Array.iter
           (fun (j, v) ->
             if j < 0 || j >= n then
-              invalid_arg
-                (Printf.sprintf "Simplex.warm: row %d names column %d" r j);
+              invalid_arg (Printf.sprintf "%s: row %d names column %d" name r j);
             row.(j) <- row.(j) +. v)
           rows.(r);
         row.(n + r) <- 1.0;
@@ -386,11 +145,7 @@ let warm ~rows ~b ~c ~lb ~ub ~eq =
   let wlb = Array.make ncols 0.0 and wub = Array.make ncols infinity in
   for j = 0 to n - 1 do
     if not (Float.is_finite lb.(j)) || lb.(j) > ub.(j) then
-      invalid_arg "Simplex.warm: bounds must satisfy finite lb <= ub";
-    (* the slack basis prices column j at c_j, so it is dual feasible only
-       when c_j points at a finite bound *)
-    if c.(j) < 0.0 && ub.(j) = infinity then
-      invalid_arg "Simplex.warm: a negative cost needs a finite upper bound";
+      invalid_arg (name ^ ": bounds must satisfy finite lb <= ub");
     wlb.(j) <- lb.(j);
     wub.(j) <- ub.(j)
   done;
@@ -399,76 +154,79 @@ let warm ~rows ~b ~c ~lb ~ub ~eq =
   done;
   let z = Array.make ncols 0.0 in
   Array.blit c 0 z 0 n;
-  let st =
-    {
-      m;
-      ncols;
-      tab;
-      rhs = Array.copy b;
-      basis = Array.init m (fun r -> n + r);
-      z;
-      banned = Array.make ncols false;
-      eps = warm_eps;
-      nz = Array.make ncols 0;
-    }
-  in
   {
-    w = st;
-    wn = n;
-    wb = Array.copy b;
-    wlb;
-    wub;
-    at_ub = Array.init ncols (fun j -> j < n && c.(j) < 0.0);
+    m;
+    n;
+    ncols;
+    tab;
+    rhs = Array.copy b;
+    basis = Array.init m (fun r -> n + r);
+    z;
+    nz = Array.make ncols 0;
+    b = Array.copy b;
+    lb = wlb;
+    ub = wub;
+    at_ub = Array.init ncols (fun j -> j < n && c.(j) < 0.0 && ub.(j) < infinity);
     row_of = Array.init ncols (fun j -> if j < n then -1 else j - n);
     xb = Array.make m 0.0;
   }
 
+let warm ~rows ~b ~c ~lb ~ub ~eq =
+  let w = create "Simplex.warm" ~rows ~b ~c ~lb ~ub ~eq in
+  if not (slack_basis_dual_feasible ~c ~ub) then
+    invalid_arg "Simplex.warm: a negative cost needs a finite upper bound";
+  w
+
 let set_bounds w j ~lb ~ub =
-  if j < 0 || j >= w.wn then invalid_arg "Simplex.set_bounds: not a column";
+  if j < 0 || j >= w.n then invalid_arg "Simplex.set_bounds: not a column";
   if not (Float.is_finite lb) || lb > ub then
     invalid_arg "Simplex.set_bounds: bounds must satisfy finite lb <= ub";
-  w.wlb.(j) <- lb;
-  w.wub.(j) <- ub
+  w.lb.(j) <- lb;
+  w.ub.(j) <- ub
 
 let set_rhs w r v =
-  let st = w.w in
-  if r < 0 || r >= st.m then invalid_arg "Simplex.set_rhs: not a row";
-  let delta = v -. w.wb.(r) in
+  if r < 0 || r >= w.m then invalid_arg "Simplex.set_rhs: not a row";
+  let delta = v -. w.b.(r) in
   if delta <> 0.0 then begin
     (* B⁻¹ is the logical block: B⁻¹b moves by delta times its column r *)
-    let col = w.wn + r in
-    for r' = 0 to st.m - 1 do
-      let f = st.tab.(r').(col) in
-      if f <> 0.0 then st.rhs.(r') <- st.rhs.(r') +. (f *. delta)
+    let col = w.n + r in
+    for r' = 0 to w.m - 1 do
+      let f = w.tab.(r').(col) in
+      if f <> 0.0 then w.rhs.(r') <- w.rhs.(r') +. (f *. delta)
     done;
-    w.wb.(r) <- v
+    w.b.(r) <- v
   end
 
-let nonbasic_value w j = if w.at_ub.(j) then w.wub.(j) else w.wlb.(j)
+let nonbasic_value w j = if w.at_ub.(j) then w.ub.(j) else w.lb.(j)
+
+let structural w =
+  Array.init w.n (fun j ->
+      if w.row_of.(j) >= 0 then w.xb.(w.row_of.(j)) else nonbasic_value w j)
+
+(* --- bounded dual simplex ------------------------------------------------ *)
 
 (* Rest every nonbasic column on the bound its reduced cost asks for and
    recompute the basic values from B⁻¹b. False when some column would
    need an infinite bound, i.e. the basis is not dual feasible. *)
 let place_nonbasics w =
-  let st = w.w in
   let ok = ref true in
-  for j = 0 to st.ncols - 1 do
+  for j = 0 to w.ncols - 1 do
     if w.row_of.(j) < 0 then begin
-      let d = st.z.(j) in
-      if w.wlb.(j) = w.wub.(j) then w.at_ub.(j) <- false
-      else if d < -.st.eps then begin
-        if w.wub.(j) = infinity then ok := false else w.at_ub.(j) <- true
+      let d = w.z.(j) in
+      if w.lb.(j) = w.ub.(j) then w.at_ub.(j) <- false
+      else if d < -.eps then begin
+        if w.ub.(j) = infinity then ok := false else w.at_ub.(j) <- true
       end
-      else if d > st.eps || w.wub.(j) = infinity then w.at_ub.(j) <- false
+      else if d > eps || w.ub.(j) = infinity then w.at_ub.(j) <- false
     end
   done;
-  Array.blit st.rhs 0 w.xb 0 st.m;
-  for j = 0 to st.ncols - 1 do
+  Array.blit w.rhs 0 w.xb 0 w.m;
+  for j = 0 to w.ncols - 1 do
     if w.row_of.(j) < 0 then begin
       let v = nonbasic_value w j in
       if v <> 0.0 then
-        for r = 0 to st.m - 1 do
-          let f = Array.unsafe_get st.tab.(r) j in
+        for r = 0 to w.m - 1 do
+          let f = Array.unsafe_get w.tab.(r) j in
           if f <> 0.0 then w.xb.(r) <- w.xb.(r) -. (f *. v)
         done
     end
@@ -479,19 +237,18 @@ let place_nonbasics w =
    Bland's rule the violated row whose basic column has the smallest
    index. -1 when the basis is primal feasible. *)
 let dual_leaving w ~bland =
-  let st = w.w in
   let best = ref 0.0 and r = ref (-1) in
-  for r' = 0 to st.m - 1 do
-    let p = st.basis.(r') in
+  for r' = 0 to w.m - 1 do
+    let p = w.basis.(r') in
     let v = w.xb.(r') in
-    let lo = w.wlb.(p) and hi = w.wub.(p) in
+    let lo = w.lb.(p) and hi = w.ub.(p) in
     let viol =
       if v < lo then lo -. v else if v > hi then v -. hi else 0.0
     in
     let bound = if v < lo then lo else hi in
-    if viol > st.eps *. (1.0 +. Float.abs bound) then
+    if viol > eps *. (1.0 +. Float.abs bound) then
       if bland then begin
-        if !r < 0 || p < st.basis.(!r) then r := r'
+        if !r < 0 || p < w.basis.(!r) then r := r'
       end
       else if viol > !best then begin
         best := viol;
@@ -506,20 +263,19 @@ let dual_leaving w ~bland =
    go to the larger |alpha| (stability), or the smaller index under
    Bland's rule. -1 when no column qualifies: row r proves infeasibility. *)
 let dual_entering w r ~below ~bland =
-  let st = w.w in
-  let row = st.tab.(r) in
+  let row = w.tab.(r) in
   let best = ref infinity and best_alpha = ref 0.0 and q = ref (-1) in
-  for j = 0 to st.ncols - 1 do
-    if w.row_of.(j) < 0 && w.wlb.(j) < w.wub.(j) then begin
+  for j = 0 to w.ncols - 1 do
+    if w.row_of.(j) < 0 && w.lb.(j) < w.ub.(j) then begin
       let alpha = Array.unsafe_get row j in
       let eligible =
-        if alpha > st.eps then below = w.at_ub.(j)
-        else if alpha < -.st.eps then below <> w.at_ub.(j)
+        if alpha > eps then below = w.at_ub.(j)
+        else if alpha < -.eps then below <> w.at_ub.(j)
         else false
       in
       if eligible then begin
         let a = Float.abs alpha in
-        let ratio = Float.abs st.z.(j) /. a in
+        let ratio = Float.abs w.z.(j) /. a in
         if
           ratio < !best -. 1e-12
           || (ratio <= !best +. 1e-12 && (not bland) && a > !best_alpha)
@@ -533,67 +289,212 @@ let dual_entering w r ~below ~bland =
   done;
   !q
 
+(* Move nonbasic column q by [delta] and, unless [r < 0], pivot it into
+   row r, whose basic column leaves on its upper bound when [to_ub] and
+   on its lower bound otherwise. *)
+let move w q ~delta ~r ~to_ub =
+  let xq = nonbasic_value w q +. delta in
+  for r' = 0 to w.m - 1 do
+    let f = Array.unsafe_get w.tab.(r') q in
+    if f <> 0.0 then w.xb.(r') <- w.xb.(r') -. (f *. delta)
+  done;
+  if r >= 0 then begin
+    let p = w.basis.(r) in
+    w.at_ub.(p) <- to_ub;
+    w.row_of.(p) <- -1;
+    pivot w r q;
+    w.row_of.(q) <- r;
+    w.xb.(r) <- xq
+  end
+
+(* Where a simplex method stops: at an optimal basis, at a row proving
+   the LP infeasible (dual), at an unbounded ray (primal), or at its
+   pivot limit. *)
+type stop = Done | Proof of int | Ray | Limit
+
+(* From a dual feasible basis, pivot primal infeasibilities away: [Done]
+   when the basis is primal feasible (hence optimal), [Proof r] when row
+   r proves the LP infeasible, [Limit] after more than
+   [200 * (n + m + 1)] pivots or when the basis is not dual feasible. *)
+let dual w counts =
+  let max_iters = 200 * (w.ncols + 1) in
+  let rec go iters degenerate_run =
+    let bland = degenerate_run > 50 in
+    let r = dual_leaving w ~bland in
+    if r < 0 then Done
+    else if iters >= max_iters then Limit
+    else
+      let p = w.basis.(r) in
+      let below = w.xb.(r) < w.lb.(p) in
+      let q = dual_entering w r ~below ~bland in
+      if q < 0 then Proof r
+      else begin
+        let degenerate = Float.abs w.z.(q) <= eps in
+        count_pivot counts ~degenerate ~degenerate_run;
+        (* primal step: q moves until p sits on its violated bound *)
+        let target = if below then w.lb.(p) else w.ub.(p) in
+        let delta = (w.xb.(r) -. target) /. w.tab.(r).(q) in
+        move w q ~delta ~r ~to_ub:(not below);
+        go (iters + 1) (if degenerate then degenerate_run + 1 else 0)
+      end
+  in
+  if place_nonbasics w then go 0 0 else Limit
+
+(* --- bounded primal simplex ---------------------------------------------- *)
+
+(* Entering column: the nonbasic column whose move off its bound lowers
+   the objective fastest (Dantzig), or under Bland's rule the first such
+   column. -1 at optimality. *)
+let primal_entering w ~bland =
+  let best = ref eps and q = ref (-1) in
+  (try
+     for j = 0 to w.ncols - 1 do
+       if w.row_of.(j) < 0 && w.lb.(j) < w.ub.(j) then begin
+         let rate = if w.at_ub.(j) then w.z.(j) else -.w.z.(j) in
+         if rate > !best then begin
+           best := rate;
+           q := j;
+           if bland then raise Exit
+         end
+       end
+     done
+   with Exit -> ());
+  !q
+
+(* Ratio test for column q leaving its bound ([up]: from its lower
+   bound): the row whose basic value reaches one of its bounds first, or
+   -1 when q reaches its own other bound first (a bound flip, no pivot).
+   Ties between rows go to the larger |alpha|, or under Bland's rule to
+   the smaller basic column. An infinite step means the LP is unbounded. *)
+let primal_ratio w q ~up ~bland =
+  let step = ref (w.ub.(q) -. w.lb.(q)) and r = ref (-1) in
+  let best_alpha = ref 0.0 in
+  for r' = 0 to w.m - 1 do
+    let alpha = Array.unsafe_get w.tab.(r') q in
+    (* the basic value of row r' moves by -a per unit of step *)
+    let a = if up then alpha else -.alpha in
+    if Float.abs a > eps then begin
+      let p = w.basis.(r') in
+      let room = if a > 0.0 then w.xb.(r') -. w.lb.(p) else w.ub.(p) -. w.xb.(r') in
+      let ratio = Float.max 0.0 room /. Float.abs a in
+      if
+        ratio < !step -. eps
+        || ratio <= !step +. eps
+           && !r >= 0
+           && (if bland then p < w.basis.(!r) else Float.abs a > !best_alpha)
+      then begin
+        step := ratio;
+        r := r';
+        best_alpha := Float.abs a
+      end
+    end
+  done;
+  (!r, !step)
+
+(* From a primal feasible basis, pivot until no reduced cost improves
+   ([Done]), a ray proves the LP unbounded ([Ray]) or more than
+   [200 * (n + m + 1)] pivots ([Limit]). *)
+let primal w counts =
+  let max_iters = 200 * (w.ncols + 1) in
+  let rec go iters degenerate_run =
+    let bland = degenerate_run > 50 in
+    let q = primal_entering w ~bland in
+    if q < 0 then Done
+    else if iters >= max_iters then Limit
+    else
+      let up = not w.at_ub.(q) in
+      let r, step = primal_ratio w q ~up ~bland in
+      if step = infinity then Ray
+      else begin
+        let degenerate = step <= eps in
+        count_pivot counts ~degenerate ~degenerate_run;
+        (* row r's basic value changes by -alpha_rq times q's move, and
+           leaves on its upper bound when that change is a rise *)
+        let to_ub = r >= 0 && (w.tab.(r).(q) < 0.0) = up in
+        move w q ~delta:(if up then step else -.step) ~r ~to_ub;
+        (* no row blocks: q flips to its other bound *)
+        if r < 0 then w.at_ub.(q) <- up;
+        go (iters + 1) (if degenerate then degenerate_run + 1 else 0)
+      end
+  in
+  go 0 0
+
+(* Reduced costs of [c] (zero on logicals) in the current basis. *)
+let price w c =
+  Array.fill w.z 0 w.ncols 0.0;
+  Array.blit c 0 w.z 0 w.n;
+  for r = 0 to w.m - 1 do
+    let p = w.basis.(r) in
+    let cb = if p < w.n then c.(p) else 0.0 in
+    if cb <> 0.0 then begin
+      let row = w.tab.(r) in
+      for t = 0 to w.ncols - 1 do
+        Array.unsafe_set w.z t
+          (Array.unsafe_get w.z t -. (cb *. Array.unsafe_get row t))
+      done
+    end
+  done;
+  Array.iter (fun p -> w.z.(p) <- 0.0) w.basis
+
+let solve ~rows ~b ~c ~lb ~ub ~eq =
+  let w = create "Simplex.solve" ~rows ~b ~c ~lb ~ub ~eq in
+  let p1 = fresh_counts () and p2 = fresh_counts () in
+  let detail = Printf.sprintf "rows=%d cols=%d" w.m w.ncols in
+  Obs.Span.phase ~detail
+    ~result_detail:(fun _ ->
+      Printf.sprintf "%s iters=%d" detail (p1.iters + p2.iters))
+    "lp.simplex.solve"
+  @@ fun () ->
+  let optimal () =
+    let x = structural w in
+    let objective = ref 0.0 in
+    Array.iteri (fun j cj -> objective := !objective +. (cj *. x.(j))) c;
+    Optimal { objective = !objective; x }
+  in
+  let stop =
+    if slack_basis_dual_feasible ~c ~ub then dual w p1
+    else begin
+      (* zero costs make every basis dual feasible, so the dual pass
+         reaches a feasible basis; the primal phase optimizes from there *)
+      Array.fill w.z 0 w.ncols 0.0;
+      match dual w p1 with
+      | Done ->
+          price w c;
+          primal w p2
+      | stop -> stop
+    end
+  in
+  let result =
+    match stop with
+    | Done -> optimal ()
+    | Proof _ -> Infeasible
+    | Ray -> Unbounded
+    | Limit -> Iteration_limit
+  in
+  flush ~dual:p1 ~primal:p2;
+  result
+
 let resolve w =
-  let st = w.w in
   let counts = fresh_counts () in
-  let detail = Printf.sprintf "rows=%d cols=%d" st.m st.ncols in
+  let detail = Printf.sprintf "rows=%d cols=%d" w.m w.ncols in
   Obs.Span.phase ~detail
     ~result_detail:(fun _ -> Printf.sprintf "%s iters=%d" detail counts.iters)
     "lp.simplex.solve"
   @@ fun () ->
-  let max_iters = 200 * (st.ncols + 1) in
-  let flush result =
-    Obs.Counter.incr c_solves;
-    Obs.Counter.add c_phase1_iters counts.iters;
-    Obs.Counter.add c_degenerate counts.degen;
-    Obs.Counter.add c_bland counts.bland;
-    result
-  in
-  let rec go iters degenerate_run =
-    let bland = degenerate_run > 50 in
-    let r = dual_leaving w ~bland in
-    if r < 0 then begin
-      let x = Array.init w.wn (fun j ->
-          if w.row_of.(j) >= 0 then w.xb.(w.row_of.(j)) else nonbasic_value w j)
-      in
-      Primal x
-    end
-    else if iters >= max_iters then Stalled
-    else
-      let p = st.basis.(r) in
-      let below = w.xb.(r) < w.wlb.(p) in
-      let q = dual_entering w r ~below ~bland in
-      if q < 0 then
+  let result =
+    match dual w counts with
+    | Done -> Primal (structural w)
+    | Proof r ->
         (* entries the ratio test treats as zero are dropped: a tiny one
            on an unbounded logical would void the certificate *)
         Farkas
-          (Array.init st.m (fun r' ->
-               let v = st.tab.(r).(w.wn + r') in
-               if Float.abs v <= st.eps then 0.0 else v))
-      else begin
-        counts.iters <- counts.iters + 1;
-        let degenerate = Float.abs st.z.(q) <= st.eps in
-        if degenerate then begin
-          counts.degen <- counts.degen + 1;
-          if degenerate_run = 50 then counts.bland <- counts.bland + 1
-        end;
-        (* primal step: q moves until p sits on its violated bound *)
-        let target = if below then w.wlb.(p) else w.wub.(p) in
-        let delta = (w.xb.(r) -. target) /. st.tab.(r).(q) in
-        let xq = nonbasic_value w q +. delta in
-        for r' = 0 to st.m - 1 do
-          let f = Array.unsafe_get st.tab.(r') q in
-          if f <> 0.0 then w.xb.(r') <- w.xb.(r') -. (f *. delta)
-        done;
-        w.at_ub.(p) <- not below;
-        w.row_of.(p) <- -1;
-        pivot st r q;
-        w.row_of.(q) <- r;
-        w.xb.(r) <- xq;
-        go (iters + 1) (if degenerate then degenerate_run + 1 else 0)
-      end
+          (Array.init w.m (fun r' ->
+               let v = w.tab.(r).(w.n + r') in
+               if Float.abs v <= eps then 0.0 else v))
+    | Ray | Limit -> Stalled
   in
-  flush (if place_nonbasics w then go 0 0 else Stalled)
+  flush ~dual:counts ~primal:(fresh_counts ());
+  result
 
 let certifies_infeasible ~rows ~b ~lb ~ub ~eq y =
   let m = Array.length rows and n = Array.length lb in
@@ -628,5 +529,5 @@ let certifies_infeasible ~rows ~b ~lb ~ub ~eq y =
     yb := !yb +. (y.(r) *. b.(r));
     scale := !scale +. Float.abs (y.(r) *. b.(r))
   done;
-  let tol = warm_eps *. !scale in
+  let tol = eps *. !scale in
   !yb < !lo -. tol || !yb > !hi +. tol

@@ -1,68 +1,73 @@
-(** Dense simplex on standard-form programs, with two entry points.
+(** Bounded-variable simplex on one tableau, for one-off LPs and for
+    sequences of LPs that differ only in bounds and right-hand sides.
 
-    {!solve} is a two-phase primal simplex for one-off LPs with an
-    objective (the branch-and-bound nodes of {!Mip}, set cover, the
-    relaxed LP of Section 3.3): phase 1 minimizes the sum of artificial
-    variables (slack columns that can serve as an initial basis are used
-    directly), phase 2 optimizes [c].
+    An LP here is [min c·x  s.t.  a_r·x <= b_r] (or [= b_r]),
+    [lb <= x <= ub]. The tableau holds the [n] structural columns and one
+    logical column [s_r] per row with [a_r·x + s_r = b_r], bounded by
+    [[0, ∞)] for an inequality and [[0, 0]] for an equation, so its
+    logical block is the basis inverse. Every nonbasic column rests on a
+    finite bound.
 
-    {!warm} and {!resolve} serve sequences of LPs that share their rows
-    and costs and differ only in column bounds and right-hand sides — the
-    probes of a dual-approximation binary search, where a makespan guess
-    [T] closes variables and moves the load rows' right-hand side. The
-    tableau is kept between solves and each re-solve is a bounded-variable
-    dual simplex from the previous basis, so no solve runs a phase 1.
+    Every solve starts from the slack basis (every logical basic). That
+    basis prices column [j] at [c_j], so it is dual feasible when each
+    cost points at a finite bound — [c_j >= 0], or [ub_j] finite — and
+    the bounded dual simplex runs straight to the optimum. Only a cost
+    that points at an infinite bound needs more: {!solve} then runs the
+    dual simplex with zero costs to reach a feasible basis, and a bounded
+    primal simplex (whose ratio test includes the entering column's own
+    bound flip) optimizes [c] from there.
 
-    Both use Dantzig pricing with a switch to Bland's rule after a run of
-    degenerate pivots, which guarantees termination. Optimal solutions are
-    {e basic}, i.e. vertices of the polyhedron — a property the
-    pseudo-forest rounding of Section 3.3 relies on.
+    {!warm} and {!resolve} keep the tableau between solves — the probes of
+    a dual-approximation binary search, where a makespan guess [T] closes
+    variables and moves the load rows' right-hand side. Bound and
+    right-hand-side changes never touch the reduced costs, so each
+    re-solve is a dual simplex from the previous basis.
+
+    Both simplex methods use Dantzig pricing with a switch to Bland's rule
+    after a run of degenerate pivots, which guarantees termination.
+    Optimal solutions are {e basic}, i.e. vertices of the polyhedron — a
+    property the pseudo-forest rounding of Section 3.3 relies on.
 
     Metrics: every {!solve} and {!resolve} records an [lp.simplex.solve]
-    phase and counts once in [lp.simplex.solves]. Primal phase-1 pivots
-    and all dual pivots count in [lp.simplex.phase1_iters], phase-2 pivots
-    in [lp.simplex.phase2_iters]; zero-step pivots (zero ratio in the
-    primal, zero dual step in the dual) count in
-    [lp.simplex.degenerate_pivots], switches to Bland's rule in
-    [lp.simplex.bland_switches]. Callers that discard a warm verdict and
-    re-solve cold count that in [lp.simplex.warm_fallbacks]
+    phase and counts once in [lp.simplex.solves]. Dual pivots count in
+    [lp.simplex.phase1_iters], primal pivots in [lp.simplex.phase2_iters];
+    zero-step pivots (zero dual step in the dual, zero primal step in the
+    primal) count in [lp.simplex.degenerate_pivots], switches to Bland's
+    rule in [lp.simplex.bland_switches]. Callers that discard a warm
+    verdict and re-solve cold count that in [lp.simplex.warm_fallbacks]
     ({!record_fallback}). *)
 
+type row = (int * float) array
+(** A sparse row [a_r]: (column, coefficient) pairs; a repeated column
+    counts the sum of its coefficients. *)
+
 type outcome =
-  | Optimal of { objective : float; x : float array; basis : int array }
-      (** [basis] holds the column index of the basic variable of each row
-          (columns [>= n] are slacks/artificials). *)
+  | Optimal of { objective : float; x : float array }
+      (** an optimal vertex: [c·x] and the values of the [n] structural
+          columns *)
   | Infeasible
   | Unbounded
   | Iteration_limit
 
 val solve :
-  ?max_iters:int ->
-  ?eps:float ->
-  a:float array array ->
+  rows:row array ->
   b:float array ->
   c:float array ->
-  unit ->
+  lb:float array ->
+  ub:float array ->
+  eq:bool array ->
   outcome
-(** [solve ~a ~b ~c ()] minimizes [c·x] subject to [A x = b], [x >= 0]
-    with [a] of shape [m×n], [b] of length [m] (any sign; rows are
-    normalized internally), [c] of length [n]. Input arrays are not
-    modified. [eps] (default [1e-9]) is the feasibility/optimality
-    tolerance; [max_iters] defaults to [200 * (m + n)]. Raises
-    [Invalid_argument] on shape mismatches. *)
+(** [solve ~rows ~b ~c ~lb ~ub ~eq] minimizes [c·x] subject to
+    [a_r·x <= b_r] ([= b_r] where [eq.(r)]) and [lb <= x <= ub]. [lb] must
+    be finite. Input arrays are not modified. Each simplex method gives up
+    after [200 * (n + m + 1)] pivots with [Iteration_limit]. Raises
+    [Invalid_argument] on shape mismatches, a column index out of range,
+    or bounds that are not finite [lb <= ub]. *)
 
 (** {1 Warm re-solves} *)
 
 type warm
-(** A tableau kept across the solves of one LP
-    [min c·x  s.t.  a_r·x <= b_r] (or [= b_r]), [lb <= x <= ub]. Each row
-    carries a logical column [s_r] with [a_r·x + s_r = b_r], bounded by
-    [[0, ∞)] for an inequality and [[0, 0]] for an equation. The logical
-    block of the tableau is the basis inverse. *)
-
-type row = (int * float) array
-(** A sparse row [a_r]: (column, coefficient) pairs; a repeated column
-    counts the sum of its coefficients. *)
+(** A tableau kept across the solves of one LP. *)
 
 val warm :
   rows:row array ->
@@ -72,12 +77,10 @@ val warm :
   ub:float array ->
   eq:bool array ->
   warm
-(** Start from the slack basis (every logical basic). That basis prices
-    column [j] at [c_j], so it is dual feasible when each cost points at a
-    finite bound: [lb] must be finite, and [ub] too where [c_j < 0].
-    Input arrays are copied. Raises [Invalid_argument] on shape
-    mismatches, a column index out of range, or bounds that break these
-    conditions. *)
+(** Start from the slack basis, which must be dual feasible: [lb] must be
+    finite, and [ub] too where [c_j < 0]. Input arrays are copied. Raises
+    [Invalid_argument] on shape mismatches, a column index out of range,
+    or bounds that break these conditions. *)
 
 val set_bounds : warm -> int -> lb:float -> ub:float -> unit
 (** Change the bounds of structural column [j] for the next {!resolve}

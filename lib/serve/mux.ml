@@ -335,24 +335,25 @@ let rec admit_held t conn =
         if Option.is_none !slot then conn.session_busy <- true
         else admit_held t conn
 
-(* One parsed frame: a server's admin frames answer inline (they read
-   process-wide registries and cost microseconds); every other frame
-   passes admission control, session frames one at a time per
-   connection. *)
+(* One parsed frame: the admin frames the service answers inline (they
+   read process-wide registries and cost microseconds) answer on the
+   loop; every other frame passes admission control, session frames one
+   at a time per connection. *)
 let admit t conn (incoming : Proto.incoming) =
   let slot = ref None in
   Queue.push slot conn.slots;
-  match incoming with
-  | (Proto.Stats _ | Proto.Events _ | Proto.Health | Proto.Explain _)
-    when t.svc.admin_on_loop ->
-      slot := Some (t.svc.run ~pressure:false incoming);
+  match t.svc.inline incoming with
+  | Some reply ->
+      slot := Some reply;
       pump t conn
-  | Proto.Session _ ->
-      Queue.push (slot, incoming) conn.held;
-      if not conn.session_busy then admit_held t conn
-  | Proto.Solve _ | Proto.Profile _ | Proto.Stats _ | Proto.Events _
-  | Proto.Health | Proto.Explain _ ->
-      admit_pooled t conn slot incoming
+  | None -> (
+      match incoming with
+      | Proto.Session _ ->
+          Queue.push (slot, incoming) conn.held;
+          if not conn.session_busy then admit_held t conn
+      | Proto.Solve _ | Proto.Profile _ | Proto.Stats _ | Proto.Events _
+      | Proto.Health | Proto.Explain _ ->
+          admit_pooled t conn slot incoming)
 
 let process_frames t conn =
   let rec loop () =

@@ -13,15 +13,16 @@
     frame (an inline shed, an admin frame) finishes first.
 
     Admission control: frames the loop does not answer itself (a
-    server's solve, session and profile frames; every frame of a
-    router) enter a bounded pending queue drained onto the service's
+    server's solve, session and profile frames; every frame a router
+    forwards) enter a bounded pending queue drained onto the service's
     {!Parallel.Pool}, at most [pool size - 1] in flight (on a
     one-domain pool they run on the loop itself), so with more than
     two domains the pipelined frames of one connection may run
     concurrently; session frames of one connection run one at a time,
-    in arrival order. A server's admin frames (stats, events, health,
-    explain) answer inline. The queue bound tightens with the
-    {!Obs.Health} status lattice — full capacity when [Ok], half when
+    in arrival order. The frames the service's [inline] answers are
+    answered on the loop: a server's stats, events, health and explain
+    frames, a router's stats, events and health frames. The queue bound tightens
+    with the {!Obs.Health} status lattice — full capacity when [Ok], half when
     [Degraded], zero when [Unhealthy] — and an over-capacity frame is
     {e shed}: the service's [shed] reply answers it on the loop (a
     server's runs the same dispatch path with a zero deadline, i.e. the

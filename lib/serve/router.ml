@@ -3,7 +3,9 @@
    relabeled — the key is Canon.prehash, which is relabeling-invariant)
    instances keep landing on the shard that already cached them. The
    router does no solving and keeps no schedule state: it is a Mux
-   service whose workers forward one frame each and relay the reply. *)
+   service whose workers forward one frame each and relay the reply,
+   and whose loop answers stats, events and health for the router
+   process itself. *)
 
 module Ring = struct
   (* Classic consistent hashing: every backend owns [vnodes] points on
@@ -47,6 +49,7 @@ type t = {
   idle_mutex : Mutex.t;
   fwd_cells : Obs.Labeled.cell array;
   c_backend_errors : Obs.Counter.t;
+  created_us : float;
 }
 
 let create ?(vnodes = 128) ?(jobs = 4) backends =
@@ -64,12 +67,14 @@ let create ?(vnodes = 128) ?(jobs = 4) backends =
     fwd_cells =
       Array.mapi (fun i _ -> Obs.Labeled.cell family (string_of_int i)) backends;
     c_backend_errors = Obs.Counter.make "serve.router.backend_errors";
+    created_us = Obs.Sink.now_us ();
   }
 
 (* Solves shard by the relabeling-invariant instance fingerprint;
    session frames pin a session's whole lifecycle to one shard by its
-   id (the state lives there); admin frames have no affinity and go to
-   shard 0 — scrape each backend directly for its own metrics. *)
+   id (the state lives there); explain and profile frames have no
+   affinity and go to shard 0. Stats, events and health frames are
+   answered by the router itself and never forwarded. *)
 let shard_of_incoming t (incoming : Proto.incoming) =
   match incoming with
   | Proto.Solve req -> Ring.shard t.ring (Canon.prehash req.Proto.instance)
@@ -126,7 +131,7 @@ let service t =
   {
     Server.pool = t.pool;
     run = (fun ~pressure:_ incoming -> forward t incoming);
-    admin_on_loop = false;
+    inline = Server.process_admin ~created_us:t.created_us;
     (* a shed frame never reaches a backend *)
     shed =
       (fun _ -> Proto.Error "overloaded: frame shed by the router (retry later)");

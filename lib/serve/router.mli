@@ -5,22 +5,25 @@
     fingerprint is relabeling-invariant, so permuted replays of an
     instance reach the shard whose result cache already holds it.
     Session frames shard by session id (the session's state lives on
-    one backend); admin frames (stats/events/health/explain/profile)
-    have no affinity and go to shard 0 — scrape backends directly for
-    their own metrics.
+    one backend); explain and profile frames have no affinity and go to
+    shard 0. Stats, events and health frames are about the router
+    process itself: the router answers them with a server's handlers
+    ({!Server.process_admin}), so [schedtool metrics] against a router
+    shows its own [serve.router.*] and [serve.mux.*] series — scrape
+    backends directly for theirs.
 
     The router is served by {!Mux} like any server ({!service}): the
-    event loop accepts, parses, admits and replies, and every frame,
-    admin frames included, is forwarded on a worker of the router's
-    pool. The worker takes an idle connection to the shard's backend
-    (Unix path or [HOST:PORT], through {!Scrape.connect} and
-    {!Scrape.exchange}) or dials one — an idle connection its backend
-    has closed, as after a restart, is dropped unused — is marked
-    [waiting] while the backend works, and puts the connection back after the reply, so no
-    two frames share a backend connection at once; connections are
-    shared across clients. Replies relay in request order (the mux's
-    slots), and the session frames of one client connection are
-    forwarded one at a time. A backend failure is answered with a
+    event loop accepts, parses, admits and replies, answers stats,
+    events and health inline, and forwards every other frame on a
+    worker of the router's pool. The worker takes an idle connection to
+    the shard's backend (Unix path or [HOST:PORT], through
+    {!Scrape.connect} and {!Scrape.exchange}) or dials one — an idle
+    connection its backend has closed, as after a restart, is dropped
+    unused — is marked [waiting] while the backend works, and puts the
+    connection back after the reply, so no two frames share a backend
+    connection at once; connections are shared across clients. Replies
+    relay in request order (the mux's slots), and the session frames of
+    one client connection are forwarded one at a time. A backend failure is answered with a
     [status error] reply reading [backend <target>: <reason>] and that
     connection is closed; the next frame for the backend takes another
     idle connection or dials again.
@@ -59,9 +62,10 @@ val shard_of_incoming : t -> Proto.incoming -> int
 (** The backend index a frame routes to (exposed for tests). *)
 
 val service : t -> Server.service
-(** The router as a mux service ({!Mux.of_service}): forward each frame
-    on the router's pool, admin frames included; shed frames get an
-    [overloaded] error without touching a backend. *)
+(** The router as a mux service ({!Mux.of_service}): stats, events and
+    health frames answer on the loop from the router's own registries;
+    every other frame is forwarded on the router's pool. Shed frames get
+    an [overloaded] error without touching a backend. *)
 
 val shutdown : t -> unit
 (** Drain in-flight forwards, shut the pool down and close the idle

@@ -447,7 +447,7 @@ let handle_events ?count ~min_level () =
    sample (so burn rates are current even without the ticker), then the
    rendered status/meter/slo/heartbeat lines. Admin traffic, outside the
    request counters. *)
-let handle_health t =
+let handle_health ~created_us =
   Obs.Memprof.sample ();
   Obs.Slo.sample ();
   ignore (Obs.Health.check ());
@@ -459,7 +459,7 @@ let handle_health t =
   List.iter add (Obs.Health.render_lines ());
   add
     (Printf.sprintf "uptime_s %.1f"
-       ((Obs.Sink.now_us () -. t.created_us) /. 1e6));
+       ((Obs.Sink.now_us () -. created_us) /. 1e6));
   List.iter add (Obs.Slo.render_lines ());
   Proto.Health_reply { body = Buffer.contents buf }
 
@@ -561,6 +561,27 @@ let handle_profile (pr : Proto.profile_request) =
           Obs.Profile.stop ();
           Proto.Profile_reply { body })
 
+let process_admin ~created_us (incoming : Proto.incoming) =
+  let answer reply =
+    Obs.Health.beat ();
+    Some (reply ())
+  in
+  match incoming with
+  | Proto.Stats format -> answer (fun () -> handle_stats format)
+  | Proto.Events { count; min_level } ->
+      answer (fun () -> handle_events ?count ~min_level ())
+  | Proto.Health -> answer (fun () -> handle_health ~created_us)
+  | Proto.Solve _ | Proto.Session _ | Proto.Explain _ | Proto.Profile _ -> None
+
+(* The frames a server answers outside admission control: admin frames
+   that read process-wide registries in microseconds. *)
+let inline t (incoming : Proto.incoming) =
+  match incoming with
+  | Proto.Explain id ->
+      Obs.Health.beat ();
+      Some (handle_explain id)
+  | _ -> process_admin ~created_us:t.created_us incoming
+
 (* One incoming frame, one response — the dispatch shared by both
    transports (stdio's channel loop here, the mux event loop's parsed
    frames). Solve and session frames carry their own heartbeats inside
@@ -568,18 +589,8 @@ let handle_profile (pr : Proto.profile_request) =
 let handle_incoming ?pressure t (incoming : Proto.incoming) =
   match incoming with
   | Proto.Solve req -> handle_request ?pressure t req
-  | Proto.Stats format ->
-      Obs.Health.beat ();
-      handle_stats format
-  | Proto.Events { count; min_level } ->
-      Obs.Health.beat ();
-      handle_events ?count ~min_level ()
-  | Proto.Health ->
-      Obs.Health.beat ();
-      handle_health t
-  | Proto.Explain id ->
-      Obs.Health.beat ();
-      handle_explain id
+  | Proto.Stats _ | Proto.Events _ | Proto.Health | Proto.Explain _ ->
+      Option.get (inline t incoming)
   | Proto.Session sreq -> handle_session ?pressure t sreq
   | Proto.Profile pr ->
       Obs.Health.beat ();
@@ -616,7 +627,7 @@ let shed t (incoming : Proto.incoming) =
 type service = {
   pool : Parallel.Pool.t;
   run : pressure:bool -> Proto.incoming -> Proto.response;
-  admin_on_loop : bool;
+  inline : Proto.incoming -> Proto.response option;
   shed : Proto.incoming -> Proto.response;
 }
 
@@ -624,7 +635,7 @@ let service (t : t) =
   {
     pool = t.pool;
     run = (fun ~pressure incoming -> handle_incoming ~pressure t incoming);
-    admin_on_loop = true;
+    inline = inline t;
     shed = shed t;
   }
 

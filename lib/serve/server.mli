@@ -138,22 +138,32 @@ val protocol_error : string -> Proto.response
 (** The response for a frame that failed to parse: counts the failure in
     the request-error metrics and returns the [status error] reply. *)
 
+val process_admin : created_us:float -> Proto.incoming -> Proto.response option
+(** Answer a stats, events or health frame from this process's
+    registries, stamping a health heartbeat; [None] for any other frame.
+    [created_us] (an {!Obs.Sink.now_us} reading) dates the health
+    reply's [uptime_s]. {!handle_incoming} answers these frames with it,
+    and so does a shard router for its own process ({!Router.service}). *)
+
 (** What {!Mux} serves: a server's ({!service}) or a shard router's
     ({!Router.service}). *)
 type service = {
   pool : Parallel.Pool.t;  (** runs the frames the mux queues *)
   run : pressure:bool -> Proto.incoming -> Proto.response;
       (** answer one frame under the admission-time health verdict *)
-  admin_on_loop : bool;
-      (** stats, events, health and explain frames answer on the loop *)
+  inline : Proto.incoming -> Proto.response option;
+      (** answer a frame on the loop, outside admission — admin frames
+          that read registries in microseconds — or [None] to queue it
+          for {!run} *)
   shed : Proto.incoming -> Proto.response;
       (** the reply, computed on the loop, to a shed frame *)
 }
 
 val service : t -> service
-(** {!handle_incoming} on this server's pool, admin frames on the loop;
-    a shed frame runs with a zero deadline (the degraded fast path, or
-    the cached result), except a profile frame, which gets an error. *)
+(** {!handle_incoming} on this server's pool; stats, events, health and
+    explain frames answer on the loop. A shed frame runs with a zero
+    deadline (the degraded fast path, or the cached result), except a
+    profile frame, which gets an error. *)
 
 val serve_channels : t -> in_channel -> out_channel -> unit
 (** Run one session until end-of-stream: read frames and answer each

@@ -1262,10 +1262,71 @@ let prop_lp_lower_bound_sound =
       let bound = Algos.Lp_um.lower_bound t in
       bound.Algos.Lp_um.lower <= opt +. 1e-6)
 
+(* The relaxation at one guess written out here from (1), (2), (4) and
+   the filters, and solved by the two-phase reference simplex, which
+   shares no code with the bounded tableau: [true] when it is feasible. *)
+let lp_um_reference_feasible t ~makespan =
+  let n = Core.Instance.num_jobs t in
+  let m = Core.Instance.num_machines t in
+  let kk = Core.Instance.num_classes t in
+  let job_class = t.Core.Instance.job_class in
+  let vars = ref [] and nv = ref 0 in
+  let add ub =
+    vars := { Simplex_ref.lb = 0.0; ub; obj = 0.0 } :: !vars;
+    incr nv;
+    Some (!nv - 1)
+  in
+  let y =
+    Array.init m (fun i ->
+        Array.init kk (fun k ->
+            if Core.Instance.setup_time t i k <= makespan then add 1.0 else None))
+  in
+  let x =
+    Array.init m (fun i ->
+        Array.init n (fun j ->
+            if Core.Instance.ptime t i j <= makespan && y.(i).(job_class.(j)) <> None
+            then add infinity
+            else None))
+  in
+  (* the terms [f a] yields over a = 0 .. len - 1 *)
+  let terms f len = List.filter_map f (List.init len Fun.id) in
+  let assign =
+    List.init n (fun j -> terms (fun i -> Option.map (fun v -> (v, 1.0)) x.(i).(j)) m)
+  in
+  let load i =
+    terms (fun j -> Option.map (fun v -> (v, Core.Instance.ptime t i j)) x.(i).(j)) n
+    @ terms
+        (fun k -> Option.map (fun v -> (v, Core.Instance.setup_time t i k)) y.(i).(k))
+        kk
+  in
+  let dominate i =
+    terms
+      (fun j ->
+        match (x.(i).(j), y.(i).(job_class.(j))) with
+        | Some xv, Some yv ->
+            Some
+              { Simplex_ref.coeffs = [ (yv, 1.0); (xv, -1.0) ]; rel = Lp.Ge; rhs = 0.0 }
+        | _ -> None)
+      n
+  in
+  let rows =
+    List.map (fun coeffs -> { Simplex_ref.coeffs; rel = Lp.Eq; rhs = 1.0 }) assign
+    @ List.init m (fun i -> { Simplex_ref.coeffs = load i; rel = Lp.Le; rhs = makespan })
+    @ List.concat (List.init m dominate)
+  in
+  List.for_all (fun coeffs -> coeffs <> []) assign
+  &&
+  match Simplex_ref.solve_model (Array.of_list (List.rev !vars)) rows with
+  | `Optimal _ -> true
+  | `Infeasible -> false
+  | `Unbounded | `Limit -> Alcotest.fail "reference: zero objective, small LP"
+
 (* The warm search re-solves one LP from the previous probe's basis; a
    cold search builds and solves a fresh LP per guess. Both must walk the
    same trajectory: same verdict at every probe, hence the same probe
-   count, certified lower bound and final guess. *)
+   count, certified lower bound and final guess. The cold verdicts come
+   from the bounded tableau too, so every probe is also checked against
+   the two-phase reference. *)
 let lp_um_shape_gen =
   QCheck.Gen.(
     let* seed = int_range 1 1_000_000 in
@@ -1295,12 +1356,14 @@ let prop_lp_um_warm_matches_cold =
       let t = lp_um_shape_instance params in
       let lo = Core.Bounds.lower_bound t in
       let hi = Core.Bounds.naive_upper_bound t in
-      let probes = ref 0 and max_infeasible = ref lo in
+      let probes = ref 0 and max_infeasible = ref lo and disagreements = ref 0 in
       let cold guess =
         incr probes;
         let answer = Algos.Lp_um.feasible t ~makespan:guess in
         if answer = None && guess > !max_infeasible then
           max_infeasible := guess;
+        if Option.is_some answer <> lp_um_reference_feasible t ~makespan:guess then
+          incr disagreements;
         answer
       in
       let cold_guess =
@@ -1312,10 +1375,57 @@ let prop_lp_um_warm_matches_cold =
       let before = Obs.Counter.value fallbacks in
       let warm = Algos.Lp_um.lower_bound t in
       check_lp_um_solution t warm.Algos.Lp_um.solution;
-      warm.Algos.Lp_um.probes = !probes
+      !disagreements = 0
+      && warm.Algos.Lp_um.probes = !probes
       && warm.Algos.Lp_um.lower = !max_infeasible
       && warm.Algos.Lp_um.solution.Algos.Lp_um.makespan = cold_guess
       && Obs.Counter.value fallbacks = before)
+
+(* Exact_ilp solves ILP-UM through Mip, one cold LP per node, so on
+   integral instances its integer bisection must prove the same optimum
+   as branch and bound over assignments. Uniform speeds of 1 and 2 over
+   even sizes and setups keep the processing times integral. *)
+let integral_gen =
+  QCheck.Gen.(
+    let* seed = int_range 1 1_000_000 in
+    let* env = int_range 0 3 in
+    let* n = int_range 1 7 in
+    let* m = int_range 1 3 in
+    let* k = int_range 1 3 in
+    return (seed, env, n, m, k))
+
+let integral_instance (seed, env, n, m, k) =
+  let rng = Workloads.Rng.create seed in
+  let k = min k n in
+  match env with
+  | 0 -> Workloads.Gen.identical rng ~n ~m ~k ()
+  | 1 ->
+      let t = Workloads.Gen.identical rng ~n ~m ~k () in
+      let double = Array.map (fun v -> 2.0 *. v) in
+      Core.Instance.uniform
+        ~speeds:(Array.init m (fun i -> if i mod 2 = 0 then 1.0 else 2.0))
+        ~sizes:(double t.Core.Instance.sizes) ~job_class:t.Core.Instance.job_class
+        ~setups:(double t.Core.Instance.setups)
+  | 2 -> Workloads.Gen.unrelated rng ~n ~m ~k ()
+  | _ -> Workloads.Gen.restricted_class_uniform rng ~n ~m ~k ()
+
+let prop_exact_ilp_matches_bnb =
+  QCheck.Test.make ~name:"Exact_ilp proves the branch-and-bound optimum"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (seed, env, n, m, k) ->
+         Printf.sprintf "seed %d env %d n %d m %d k %d" seed env n m k)
+       integral_gen)
+    (fun params ->
+      let t = integral_instance params in
+      let ilp = Algos.Exact_ilp.solve t in
+      let bnb = Algos.Exact.solve t in
+      ilp.Algos.Exact_ilp.optimal
+      && bnb.Algos.Exact.optimal
+      && Float.abs
+           (ilp.Algos.Exact_ilp.result.Algos.Common.makespan
+           -. bnb.Algos.Exact.result.Algos.Common.makespan)
+         <= 1e-6)
 
 let prop_ra_two_approx =
   QCheck.Test.make ~name:"RA class-uniform stays within 2(1+tol) OPT"
@@ -1538,5 +1648,6 @@ let () =
             prop_lp_um_warm_matches_cold;
             prop_ra_two_approx;
             prop_um_three_approx;
+            prop_exact_ilp_matches_bnb;
           ] );
     ]

@@ -4,10 +4,21 @@ let check_float tol = Alcotest.(check (float tol))
 
 (* --- Raw simplex ------------------------------------------------------- *)
 
-(* min -x - y  s.t.  x + y + s1 = 4, x + s2 = 3, y + s3 = 2  -> x=3, y=1 *)
+(* [min c·x  s.t.  A x = b, x >= 0] with a dense [A], in the tableau's
+   terms: every row an equation, every column in [[0, ∞)]. *)
+let solve_standard ~a ~b ~c =
+  let n = Array.length c in
+  Lp.Simplex.solve
+    ~rows:(Array.map (Array.mapi (fun j v -> (j, v))) a)
+    ~b ~c ~lb:(Array.make n 0.0) ~ub:(Array.make n infinity)
+    ~eq:(Array.make (Array.length a) true)
+
+(* min -x - y  s.t.  x + y + s1 = 4, x + s2 = 3, y + s3 = 2: the optimal
+   face is the edge x + y = 4 between the vertices (3, 1) and (2, 2); the
+   engine is deterministic and returns (2, 2) *)
 let test_simplex_basic () =
   match
-    Lp.Simplex.solve
+    solve_standard
       ~a:
         [|
           [| 1.0; 1.0; 1.0; 0.0; 0.0 |];
@@ -16,20 +27,19 @@ let test_simplex_basic () =
         |]
       ~b:[| 4.0; 3.0; 2.0 |]
       ~c:[| -1.0; -1.0; 0.0; 0.0; 0.0 |]
-      ()
   with
   | Lp.Simplex.Optimal { objective; x; _ } ->
       check_float 1e-8 "objective" (-4.0) objective;
-      check_float 1e-8 "x" 3.0 x.(0);
-      check_float 1e-8 "y" 1.0 x.(1)
+      check_float 1e-8 "x" 2.0 x.(0);
+      check_float 1e-8 "y" 2.0 x.(1)
   | _ -> Alcotest.fail "expected optimal"
 
 let test_simplex_infeasible () =
   (* x = 1 and x = 2 simultaneously *)
   match
-    Lp.Simplex.solve
+    solve_standard
       ~a:[| [| 1.0 |]; [| 1.0 |] |]
-      ~b:[| 1.0; 2.0 |] ~c:[| 0.0 |] ()
+      ~b:[| 1.0; 2.0 |] ~c:[| 0.0 |]
   with
   | Lp.Simplex.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible"
@@ -37,21 +47,21 @@ let test_simplex_infeasible () =
 let test_simplex_unbounded () =
   (* min -x s.t. x - y = 0: x can grow with y *)
   match
-    Lp.Simplex.solve ~a:[| [| 1.0; -1.0 |] |] ~b:[| 0.0 |] ~c:[| -1.0; 0.0 |] ()
+    solve_standard ~a:[| [| 1.0; -1.0 |] |] ~b:[| 0.0 |] ~c:[| -1.0; 0.0 |]
   with
   | Lp.Simplex.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded"
 
 let test_simplex_negative_rhs () =
   (* -x = -5  <=>  x = 5 *)
-  match Lp.Simplex.solve ~a:[| [| -1.0 |] |] ~b:[| -5.0 |] ~c:[| 1.0 |] () with
+  match solve_standard ~a:[| [| -1.0 |] |] ~b:[| -5.0 |] ~c:[| 1.0 |] with
   | Lp.Simplex.Optimal { x; _ } -> check_float 1e-8 "x" 5.0 x.(0)
   | _ -> Alcotest.fail "expected optimal"
 
 let test_simplex_degenerate () =
   (* A degenerate corner: multiple constraints meet at the optimum. *)
   match
-    Lp.Simplex.solve
+    solve_standard
       ~a:
         [|
           [| 1.0; 1.0; 1.0; 0.0 |];
@@ -59,7 +69,6 @@ let test_simplex_degenerate () =
         |]
       ~b:[| 1.0; 1.0 |]
       ~c:[| -1.0; -2.0; 0.0; 0.0 |]
-      ()
   with
   | Lp.Simplex.Optimal { objective; _ } ->
       check_float 1e-8 "objective" (-2.0) objective
@@ -68,7 +77,7 @@ let test_simplex_degenerate () =
 let test_simplex_shape_validation () =
   Alcotest.(check bool) "ragged rejected" true
     (try
-       ignore (Lp.Simplex.solve ~a:[| [| 1.0 |] |] ~b:[| 1.0; 2.0 |] ~c:[| 0.0 |] ());
+       ignore (solve_standard ~a:[| [| 1.0 |] |] ~b:[| 1.0; 2.0 |] ~c:[| 0.0 |]);
        false
      with Invalid_argument _ -> true)
 
@@ -99,8 +108,8 @@ let test_simplex_klee_minty () =
     [ 2; 3; 4; 5; 6 ]
 
 let test_simplex_redundant_rows () =
-  (* the same constraint thrice plus an implied one: must not confuse
-     phase 1 or the driving-out of artificials *)
+  (* the same constraint thrice plus an implied one: the dependent rows
+     must not confuse the dual simplex *)
   let m = Lp.create () in
   let x = Lp.add_var ~obj:1.0 m "x" in
   let y = Lp.add_var ~obj:1.0 m "y" in
@@ -487,6 +496,124 @@ let prop_two_var_optimal =
       | Lp.Unbounded -> false (* impossible: box-bounded *)
       | _ -> false)
 
+(* Differential check against the two-phase primal simplex the bounded
+   tableau replaced (Simplex_ref): random LPs with positive, negative and
+   zero costs, [<=], [>=] and [=] rows, finite and infinite bounds, free
+   variables and duplicated rows, infeasible and unbounded ones included.
+   The reference sees the model lowered to standard form as the builder
+   used to do it ([Simplex_ref.solve_model]). *)
+let diff_gen =
+  QCheck.Gen.(
+    let half = map (fun k -> float_of_int k /. 2.0) (int_range (-8) 8) in
+    let* nv = int_range 1 8 in
+    let var =
+      let* kind = int_range 0 5 in
+      let* l = map float_of_int (int_range (-3) 2) in
+      let* w = int_range 0 4 in
+      let* obj = frequency [ (1, return 0.0); (3, half) ] in
+      let* off = map float_of_int (int_range 0 w) in
+      let w = float_of_int w in
+      let lb, ub =
+        match kind with
+        | 0 -> (0.0, infinity)
+        | 1 -> (0.0, w)
+        | 2 | 3 -> (l, l +. w)
+        | 4 -> (neg_infinity, infinity)
+        | _ -> (neg_infinity, l +. w)
+      in
+      (* a point within the bounds, which most rows below hold at *)
+      let point =
+        if lb > neg_infinity then lb +. off
+        else if ub < infinity then ub -. off
+        else off -. 2.0
+      in
+      return ({ Simplex_ref.lb; ub; obj }, point)
+    in
+    let* vars = array_repeat nv var in
+    let row =
+      let* cs = list_repeat nv (frequency [ (2, return 0.0); (3, half) ]) in
+      let* rel = oneofl [ Lp.Le; Lp.Ge; Lp.Eq ] in
+      (* how far the point is inside the row; negative cuts it off *)
+      let* gap = map float_of_int (int_range (-2) 4) in
+      let coeffs =
+        List.filter (fun (_, c) -> c <> 0.0) (List.mapi (fun j c -> (j, c)) cs)
+      in
+      let at_point =
+        List.fold_left (fun acc (j, c) -> acc +. (c *. snd vars.(j))) 0.0 coeffs
+      in
+      let rhs =
+        match rel with
+        | Lp.Le -> at_point +. gap
+        | Lp.Ge -> at_point -. gap
+        | Lp.Eq -> if gap < 0.0 then at_point +. gap else at_point
+      in
+      return { Simplex_ref.coeffs; rel; rhs }
+    in
+    let* rows = list_size (int_range 0 5) row in
+    let* dup = int_range 0 (List.length rows) in
+    (* the row at [dup] repeats, when there is one *)
+    return (Array.map fst vars, rows @ List.filteri (fun i _ -> i = dup) rows))
+
+let print_diff (vars, rows) =
+  let rel = function Lp.Le -> "<=" | Lp.Ge -> ">=" | Lp.Eq -> "=" in
+  String.concat "\n"
+    (Array.to_list
+       (Array.mapi
+          (fun v (d : Simplex_ref.var) ->
+            Printf.sprintf "x%d in [%g, %g] cost %g" v d.lb d.ub d.obj)
+          vars)
+    @ List.map
+        (fun (r : Simplex_ref.row) ->
+          Printf.sprintf "%s %s %g"
+            (String.concat " + "
+               (List.map (fun (v, c) -> Printf.sprintf "%g x%d" c v) r.coeffs))
+            (rel r.rel) r.rhs)
+        rows)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"bounded tableau matches the two-phase reference"
+    ~count:1000
+    (QCheck.make ~print:print_diff diff_gen)
+    (fun (vars, rows) ->
+      let m = Lp.create () in
+      let xs =
+        Array.mapi
+          (fun v (d : Simplex_ref.var) ->
+            Lp.add_var ~lb:d.lb ~ub:d.ub ~obj:d.obj m (Printf.sprintf "x%d" v))
+          vars
+      in
+      List.iter
+        (fun (r : Simplex_ref.row) ->
+          Lp.add_constraint m (List.map (fun (v, c) -> (c, xs.(v))) r.coeffs) r.rel r.rhs)
+        rows;
+      match (Lp.solve m, Simplex_ref.solve_model vars rows) with
+      | Lp.Infeasible, `Infeasible | Lp.Unbounded, `Unbounded -> true
+      | Lp.Optimal s, `Optimal reference ->
+          let obj = Lp.objective_value s in
+          let close = Float.abs (obj -. reference) <= 1e-6 *. (1.0 +. Float.abs obj) in
+          let value v = Lp.value s xs.(v) in
+          let bounds_hold =
+            Array.for_all Fun.id
+              (Array.mapi
+                 (fun v (d : Simplex_ref.var) ->
+                   value v >= d.lb -. 1e-7 && value v <= d.ub +. 1e-7)
+                 vars)
+          in
+          let rows_hold =
+            List.for_all
+              (fun (r : Simplex_ref.row) ->
+                let lhs =
+                  List.fold_left (fun acc (v, c) -> acc +. (c *. value v)) 0.0 r.coeffs
+                in
+                match r.rel with
+                | Lp.Le -> lhs <= r.rhs +. 1e-7
+                | Lp.Ge -> lhs >= r.rhs -. 1e-7
+                | Lp.Eq -> Float.abs (lhs -. r.rhs) <= 1e-7)
+              rows
+          in
+          close && bounds_hold && rows_hold
+      | _ -> false)
+
 (* --- Warm re-solves (bounded dual simplex) ------------------------------ *)
 
 let expect_primal name = function
@@ -665,5 +792,6 @@ let () =
             prop_transport_feasible;
             prop_two_var_optimal;
             prop_mip_matches_brute_force;
+            prop_matches_reference;
           ] );
     ]

@@ -2765,6 +2765,53 @@ let test_router_pipelined_solves () =
         (forwarded b - before))
     fwd0
 
+let test_router_answers_admin () =
+  (* stats, events and health frames are about the router process: it
+     answers them itself, with backend 0 not even listening, and its
+     exposition counts the solves it forwarded *)
+  let b0 = temp_sock "ra_b0" and b1 = temp_sock "ra_b1" in
+  with_backend b1 @@ fun () ->
+  with_router [ b0; b1 ] @@ fun router _port (ic, oc) ->
+  let sum_forwarded () = forwarded 0 + forwarded 1 in
+  let before = sum_forwarded () in
+  let inst = instance_on router 1 ~seed:300 in
+  let r = rng 11 in
+  for _ = 1 to 5 do
+    Serve.Proto.write_incoming oc (solve_frame (Serve.Canon.shuffle r inst));
+    ignore (read_reply ic)
+  done;
+  Serve.Proto.write_incoming oc (Serve.Proto.Stats Serve.Proto.Prometheus);
+  let body =
+    match Serve.Proto.read_response ic with
+    | Ok (Some (Serve.Proto.Stats_reply { body; _ })) -> body
+    | Ok (Some (Serve.Proto.Error msg)) -> Alcotest.fail msg
+    | _ -> Alcotest.fail "expected a stats reply"
+  in
+  let exposed =
+    List.fold_left
+      (fun acc line ->
+        if String.starts_with ~prefix:"serve_router_forwarded{" line then
+          acc + int_of_string (List.nth (String.split_on_char ' ' line) 1)
+        else acc)
+      0
+      (String.split_on_char '\n' body)
+  in
+  Alcotest.(check int) "the router's own cells count the 5 forwards"
+    (before + 5) exposed;
+  Alcotest.(check int) "the stats frame was not forwarded" (before + 5)
+    (sum_forwarded ());
+  Serve.Proto.write_incoming oc Serve.Proto.Health;
+  (match Serve.Proto.read_response ic with
+  | Ok (Some (Serve.Proto.Health_reply { body })) ->
+      Alcotest.(check bool) "the router reports its own uptime" true
+        (Astring.String.is_infix ~affix:"uptime_s" body)
+  | _ -> Alcotest.fail "expected a health reply");
+  Serve.Proto.write_incoming oc
+    (Serve.Proto.Events { count = Some 1; min_level = Obs.Event.Debug });
+  match Serve.Proto.read_response ic with
+  | Ok (Some (Serve.Proto.Events_reply _)) -> ()
+  | _ -> Alcotest.fail "expected an events reply"
+
 let test_router_session_pipeline () =
   (* two session lifecycles interleaved with a solve, all written before
      any reply is read: the router forwards one connection's session
@@ -2983,6 +3030,8 @@ let () =
             test_router_pipelined_solves;
           Alcotest.test_case "pipelined session lifecycles" `Quick
             test_router_session_pipeline;
+          Alcotest.test_case "answers its own admin frames" `Quick
+            test_router_answers_admin;
           Alcotest.test_case "held client does not stall others" `Quick
             test_router_held_client;
           Alcotest.test_case "backend failure and re-dial" `Quick
