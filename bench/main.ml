@@ -317,6 +317,19 @@ let serve_benchmarks () =
     measure ~name:"canonicalize n=150" ~iterations:50 (fun () ->
         ignore (Serve.Canon.key big))
   in
+  (* the smallest tied-entity reproducer (identical machines, tied jobs
+     in tied classes): each key searches the one non-twin class cell in
+     two orders and stays under the cap, so both counters are exact *)
+  let canon_ties =
+    let tied =
+      Core.Instance.identical ~num_machines:2 ~sizes:[| 32.0; 32.0 |]
+        ~job_class:[| 2; 3 |] ~setups:[| 32.0; 32.0; 16.0; 16.0 |]
+    in
+    only_counters
+      [ "serve.canon.capped"; "serve.canon.tie_orders" ]
+      (measure ~name:"canonicalize tied classes n=2" ~iterations:100
+         (fun () -> ignore (Serve.Canon.key tied)))
+  in
   (* session subsystem: a long-lived session absorbing ±1-job mutations,
      each followed by an incremental resolve. The repair seed comes from
      a deadline-pressured first resolve (cheap tier), so the record's
@@ -616,6 +629,7 @@ let serve_benchmarks () =
       hit_profiled;
       deadline;
       canon;
+      canon_ties;
       session_repair;
       session_hit;
       ilp_um;

@@ -110,6 +110,42 @@ let gen_instance rng env ~exact_job_limit ~max_jobs =
      job left to pay its setup. *)
   if R.float rng < 0.2 then empty_one_class rng instance else instance
 
+(* Tied jobs in tied classes: 2-4 classes with one setup time, each
+   holding jobs of the same sizes, on machines that treat every class
+   alike. Color refinement leaves the classes in one cell and the
+   same-size jobs of different classes in another, so the permute
+   relation exercises the canonical key's tie search. *)
+let gen_symmetric rng env =
+  let k = 2 + R.int rng 3 in
+  let per_class = 1 + R.int rng 3 in
+  let m = 1 + R.int rng 4 in
+  let n = k * per_class in
+  let shape =
+    Array.init per_class (fun _ -> float_of_int (8 * (1 + R.int rng 8)))
+  in
+  let sizes = Array.init n (fun j -> shape.(j mod per_class)) in
+  let job_class = Array.init n (fun j -> j / per_class) in
+  let setups = Array.make k (float_of_int (8 * (1 + R.int rng 4))) in
+  let factors = Array.init m (fun _ -> float_of_int (1 + R.int rng 3)) in
+  match env with
+  | Identical -> I.identical ~num_machines:m ~sizes ~job_class ~setups
+  | Uniform -> I.uniform ~speeds:factors ~sizes ~job_class ~setups
+  | Restricted ->
+      (* eligibility by a job's place in its class; machine 0 takes all *)
+      let place =
+        Array.init m (fun i ->
+            Array.init per_class (fun _ -> i = 0 || R.bool rng))
+      in
+      let eligible =
+        Array.init m (fun i ->
+            Array.init n (fun j -> place.(i).(j mod per_class)))
+      in
+      I.restricted ~eligible ~sizes ~job_class ~setups
+  | Unrelated ->
+      I.unrelated
+        ~p:(Array.init m (fun i -> Array.map (fun p -> p *. factors.(i)) sizes))
+        ~job_class ~setups ()
+
 (* --- one case ---------------------------------------------------------- *)
 
 let heavy_ok ~heavy_job_limit instance =
@@ -187,9 +223,13 @@ let dedup_by_pair violations =
 
 let run_case ~registry ~config (case, rng) =
   let env = List.nth config.envs (case mod List.length config.envs) in
+  (* every 16th case is symmetric; choosing by index keeps the other
+     cases' instances unchanged *)
   let instance =
-    gen_instance rng env ~exact_job_limit:config.exact_job_limit
-      ~max_jobs:config.max_jobs
+    if case mod 16 = 15 then gen_symmetric rng env
+    else
+      gen_instance rng env ~exact_job_limit:config.exact_job_limit
+        ~max_jobs:config.max_jobs
   in
   let case_seed = config.seed + case in
   let t0 = Obs.Sink.now_us () in

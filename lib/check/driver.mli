@@ -6,7 +6,10 @@
     Cases are drawn through {!Workloads.Gen} from per-case RNGs obtained
     by {!Workloads.Rng.split} off a single root seed {e before}
     dispatch, so a run is bit-reproducible from [(seed, case index)]
-    regardless of how many {!Parallel.Pool} domains execute it.
+    regardless of how many {!Parallel.Pool} domains execute it. Every
+    16th case is a symmetric instance instead: tied jobs in tied
+    classes, which exercises the canonical key's tie search under the
+    permute relation.
 
     Observability ([lib/obs] wiring, all always-on):
     - counters [check.cases], [check.violations], [check.shrink_steps],

@@ -10,51 +10,90 @@ let error_to_string { line; field; message } =
       message;
     ]
 
-let float_to_text x = if x = infinity then "inf" else Printf.sprintf "%.17g" x
+(* Printing ------------------------------------------------------------ *)
 
-let row_to_text row = String.concat " " (Array.to_list (Array.map float_to_text row))
+(* The C primitive behind Printf's %g. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Decimal digits of a non-negative int: counts, class ids and
+   integral times. *)
+let rec add_digits buf v =
+  if v >= 10 then add_digits buf (v / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (v mod 10)))
+
+(* Byte-identical to [%.17g]: that prints an integral value below 1e17
+   as a plain integer, so only the other values go through the
+   formatter. *)
+let add_float buf x =
+  if x = infinity then Buffer.add_string buf "inf"
+  else if Float.is_integer x && (not (Float.sign_bit x)) && x < 1e17 then
+    add_digits buf (int_of_float x)
+  else Buffer.add_string buf (format_float "%.17g" x)
+
+let add_row buf add row =
+  Array.iteri
+    (fun idx x ->
+      if idx > 0 then Buffer.add_char buf ' ';
+      add buf x)
+    row
 
 let to_string (t : Instance.t) =
   let buf = Buffer.create 256 in
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  let env_name =
-    match t.Instance.env with
-    | Instance.Identical -> "identical"
-    | Instance.Uniform _ -> "uniform"
-    | Instance.Restricted _ -> "restricted"
-    | Instance.Unrelated _ -> "unrelated"
+  let line words =
+    Buffer.add_string buf words;
+    Buffer.add_char buf '\n'
   in
-  add "# setup-scheduling instance";
-  add "env %s" env_name;
-  add "machines %d" (Instance.num_machines t);
-  add "classes %d" (Instance.num_classes t);
-  add "setups %s" (row_to_text t.Instance.setups);
-  add "jobs %d" (Instance.num_jobs t);
+  let field name add row =
+    Buffer.add_string buf name;
+    Buffer.add_char buf ' ';
+    add_row buf add row;
+    Buffer.add_char buf '\n'
+  in
+  let count name v =
+    Buffer.add_string buf name;
+    Buffer.add_char buf ' ';
+    add_digits buf v;
+    Buffer.add_char buf '\n'
+  in
+  let matrix add rows =
+    Array.iter
+      (fun row ->
+        add_row buf add row;
+        Buffer.add_char buf '\n')
+      rows
+  in
+  line "# setup-scheduling instance";
+  line
+    (match t.Instance.env with
+    | Instance.Identical -> "env identical"
+    | Instance.Uniform _ -> "env uniform"
+    | Instance.Restricted _ -> "env restricted"
+    | Instance.Unrelated _ -> "env unrelated");
+  count "machines" (Instance.num_machines t);
+  count "classes" (Instance.num_classes t);
+  field "setups" add_float t.Instance.setups;
+  count "jobs" (Instance.num_jobs t);
   (match t.Instance.env with
   | Instance.Unrelated _ -> ()
   | Instance.Identical | Instance.Uniform _ | Instance.Restricted _ ->
-      add "sizes %s" (row_to_text t.Instance.sizes));
-  add "job_class %s"
-    (String.concat " " (Array.to_list (Array.map string_of_int t.Instance.job_class)));
+      field "sizes" add_float t.Instance.sizes);
+  field "job_class" add_digits t.Instance.job_class;
   (match t.Instance.env with
   | Instance.Identical -> ()
-  | Instance.Uniform speeds -> add "speeds %s" (row_to_text speeds)
+  | Instance.Uniform speeds -> field "speeds" add_float speeds
   | Instance.Restricted eligible ->
-      add "eligible";
-      Array.iter
-        (fun row ->
-          add "%s"
-            (String.concat " "
-               (Array.to_list (Array.map (fun b -> if b then "1" else "0") row))))
+      line "eligible";
+      matrix
+        (fun buf b -> Buffer.add_char buf (if b then '1' else '0'))
         eligible
-  | Instance.Unrelated p ->
-      add "ptimes";
-      Array.iter (fun row -> add "%s" (row_to_text row)) p;
-      (match t.Instance.setup_matrix with
+  | Instance.Unrelated p -> (
+      line "ptimes";
+      matrix add_float p;
+      match t.Instance.setup_matrix with
       | None -> ()
       | Some s ->
-          add "setup_matrix";
-          Array.iter (fun row -> add "%s" (row_to_text row)) s));
+          line "setup_matrix";
+          matrix add_float s));
   Buffer.contents buf
 
 (* Parsing ------------------------------------------------------------- *)

@@ -16,7 +16,13 @@
     setup_matrix                   # env unrelated, optional: m lines of K floats
     v}
 
-    [inf] (case-insensitive) denotes infinity in [ptimes]/[setup_matrix]. *)
+    [inf] (case-insensitive) denotes infinity in [ptimes]/[setup_matrix].
+
+    {!to_string} prints numbers exactly as [%.17g] does, so the text
+    reads back to the same floats, but without [Printf]: it writes
+    integral values below 1e17 digit by digit and formats only the
+    other values. Every client solve frame and session create prints an
+    instance, and most times in practice are integral. *)
 
 type error = {
   line : int option;  (** 1-based line of the offending input, when known *)

@@ -4,21 +4,23 @@ let c_evictions = Obs.Counter.make "serve.cache_evictions"
 let h_lookup_us = Obs.Histogram.make "serve.cache.lookup_latency_us"
 let g_size = Obs.Gauge.make "serve.cache_size"
 
-type 'a entry = {
-  value : 'a;
-  mutable stamp : int;
-  created_us : float;
-  mutable hits : int;
-}
-
+(* Entries live in [capacity] preallocated slots. A circular doubly
+   linked list threads the occupied slots in recency order through
+   [newer]/[older]; slot [capacity] is its sentinel, so
+   [older.(sentinel)] is the most recently used slot and
+   [newer.(sentinel)] the least. A hit relinks its slot in place; nothing
+   it allocates outlives it. *)
 type 'a t = {
   mutex : Mutex.t;
   capacity : int;
-  table : (string, 'a entry) Hashtbl.t;
-  (* access order, oldest first; stale pairs (whose stamp no longer
-     matches the table entry) are skipped during eviction *)
-  order : (string * int) Queue.t;
-  mutable tick : int;
+  slots : (string, int) Hashtbl.t;
+  keys : string array;
+  values : 'a option array;  (* [None] only on a never-used slot *)
+  created_us : float array;
+  hits : int array;
+  newer : int array;
+  older : int array;
+  mutable used : int;  (* slots [0, used) have held an entry *)
 }
 
 let create ~capacity =
@@ -26,70 +28,92 @@ let create ~capacity =
   {
     mutex = Mutex.create ();
     capacity;
-    table = Hashtbl.create (2 * capacity);
-    order = Queue.create ();
-    tick = 0;
+    slots = Hashtbl.create (2 * capacity);
+    keys = Array.make capacity "";
+    values = Array.make capacity None;
+    created_us = Array.make capacity 0.0;
+    hits = Array.make capacity 0;
+    newer = Array.make (capacity + 1) capacity;
+    older = Array.make (capacity + 1) capacity;
+    used = 0;
   }
 
 let capacity t = t.capacity
+let length t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.slots)
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let unlink t s =
+  let n = t.newer.(s) and o = t.older.(s) in
+  t.older.(n) <- o;
+  t.newer.(o) <- n
 
-let length t = locked t (fun () -> Hashtbl.length t.table)
+let push_newest t s =
+  let sentinel = t.capacity in
+  let newest = t.older.(sentinel) in
+  t.newer.(newest) <- s;
+  t.older.(s) <- newest;
+  t.newer.(s) <- sentinel;
+  t.older.(sentinel) <- s
 
-let touch t key entry =
-  t.tick <- t.tick + 1;
-  entry.stamp <- t.tick;
-  Queue.push (key, t.tick) t.order
+let keys t =
+  Mutex.protect t.mutex (fun () ->
+      let rec go s acc =
+        if s = t.capacity then List.rev acc
+        else go t.older.(s) (t.keys.(s) :: acc)
+      in
+      go t.older.(t.capacity) [])
 
 let find t key =
   Obs.Span.with_span "serve.cache.lookup" @@ fun () ->
   let t0 = Obs.Sink.now_us () in
   let result =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.table key with
-        | Some entry ->
+    Mutex.protect t.mutex (fun () ->
+        match Hashtbl.find t.slots key with
+        | s ->
             Obs.Counter.incr c_hits;
-            entry.hits <- entry.hits + 1;
-            touch t key entry;
-            Some entry.value
-        | None ->
+            t.hits.(s) <- t.hits.(s) + 1;
+            unlink t s;
+            push_newest t s;
+            t.values.(s)
+        | exception Not_found ->
             Obs.Counter.incr c_misses;
             None)
   in
   Obs.Histogram.observe h_lookup_us (Obs.Sink.now_us () -. t0);
   result
 
-let evict_one t =
-  (* Pop until a queue pair still describes a live entry's most recent
-     access; that entry is the LRU. *)
-  let rec go () =
-    match Queue.take_opt t.order with
-    | None -> ()
-    | Some (key, stamp) -> (
-        match Hashtbl.find_opt t.table key with
-        | Some entry when entry.stamp = stamp ->
-            Hashtbl.remove t.table key;
-            Obs.Counter.incr c_evictions;
-            Obs.Event.emit "serve.cache.evict"
-              [
-                ( "age_s",
-                  Obs.Event.Float
-                    ((Obs.Sink.now_us () -. entry.created_us) /. 1e6) );
-                ("hits", Obs.Event.Int entry.hits);
-              ]
-        | Some _ | None -> go ())
-  in
-  go ()
+(* The slot a new key goes into: a never-used one while there are any,
+   else the least recently used entry's, evicted. *)
+let free_slot t =
+  if t.used < t.capacity then begin
+    t.used <- t.used + 1;
+    t.used - 1
+  end
+  else begin
+    let s = t.newer.(t.capacity) in
+    unlink t s;
+    Hashtbl.remove t.slots t.keys.(s);
+    Obs.Counter.incr c_evictions;
+    let age_s = (Obs.Sink.now_us () -. t.created_us.(s)) /. 1e6 in
+    Obs.Event.emit "serve.cache.evict"
+      [ ("age_s", Obs.Event.Float age_s); ("hits", Obs.Event.Int t.hits.(s)) ];
+    s
+  end
 
 let put t key value =
-  locked t (fun () ->
-      let entry =
-        { value; stamp = 0; created_us = Obs.Sink.now_us (); hits = 0 }
+  Mutex.protect t.mutex (fun () ->
+      let s =
+        match Hashtbl.find t.slots key with
+        | s ->
+            unlink t s;
+            s
+        | exception Not_found ->
+            let s = free_slot t in
+            Hashtbl.add t.slots key s;
+            t.keys.(s) <- key;
+            s
       in
-      Hashtbl.replace t.table key entry;
-      touch t key entry;
-      if Hashtbl.length t.table > t.capacity then evict_one t;
-      Obs.Gauge.set g_size (float_of_int (Hashtbl.length t.table)))
+      t.values.(s) <- Some value;
+      t.created_us.(s) <- Obs.Sink.now_us ();
+      t.hits.(s) <- 0;
+      push_newest t s;
+      Obs.Gauge.set g_size (float_of_int (Hashtbl.length t.slots)))

@@ -1,9 +1,12 @@
-(** Size-bounded LRU result cache, keyed by canonical instance text.
+(** Size-bounded LRU result cache, keyed by canonical instance keys
+    ({!Canon.key}).
 
     Thread-safe: the server handles sessions concurrently on a
-    {!Parallel.Pool}, so every operation takes an internal mutex. Recency
-    is tracked with a lazily-pruned access queue, which keeps [find] and
-    [put] amortized O(1) without a hand-rolled linked list.
+    {!Parallel.Pool}, so every operation takes an internal mutex.
+    [find] and [put] are O(1): entries sit in [capacity] slots
+    allocated by [create], threaded in recency order by an intrusive
+    doubly linked list, so memory is bounded by the capacity. A hit
+    relinks its entry in place and keeps nothing of the lookup key.
 
     Feeds the obs layer: [serve.cache_hits], [serve.cache_misses] and
     [serve.cache_evictions] accumulate across all caches, the
@@ -26,5 +29,9 @@ val find : 'a t -> string -> 'a option
     [serve.cache_hits] or [serve.cache_misses]. *)
 
 val put : 'a t -> string -> 'a -> unit
-(** Insert or overwrite, evicting the least-recently-used entry when over
-    capacity (bumping [serve.cache_evictions]). *)
+(** Insert or overwrite, evicting the least-recently-used entry when
+    full (bumping [serve.cache_evictions]). *)
+
+val keys : 'a t -> string list
+(** The live keys, most recently used first, so the last is the next
+    eviction. Does not refresh recency. *)

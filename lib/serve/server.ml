@@ -345,9 +345,9 @@ let handle_request ?pressure t (req : Proto.request) =
   in
   (* Solve [instance], store a non-degraded result with [store] and
      reply with the assignment mapped back to the request's labeling by
-     [to_request]. Storing (canonicalize, key, put, fingerprint) is a
-     phase of its own, so the explain tree accounts for the work after
-     the solve. *)
+     [to_request]. Storing (canonical labeling and key, put,
+     fingerprint) is a phase of its own, so the explain tree accounts
+     for the work after the solve. *)
   let solve_and_store instance ~store ~to_request =
     match Dispatch.solve ?deadline_ms ?hint:req.solver ~pressure instance with
     | Error msg -> Proto.Error msg
@@ -386,24 +386,21 @@ let handle_request ?pressure t (req : Proto.request) =
        (whose pre-hash is now seen) hit it. *)
     Obs.Counter.incr c_prehash_misses;
     solve_and_store req.instance ~to_request:Fun.id ~store:(fun cached ->
-        match Canon.canonicalize req.instance with
+        match Canon.label req.instance with
         | exception Invalid_argument _ -> ()
-        | canon ->
-            put
-              (Core.Instance_io.to_string canon.Canon.instance)
+        | l ->
+            put l.Canon.key
               {
                 cached with
-                assignment =
-                  Canon.assignment_to_canonical canon cached.assignment;
+                assignment = Canon.to_canonical l cached.assignment;
               })
   end
   else begin
     Obs.Counter.incr c_prehash_hits;
-    match Canon.canonicalize req.instance with
+    match Canon.label req.instance with
     | exception Invalid_argument msg -> Proto.Error msg
-    | canon -> (
-        let key = Core.Instance_io.to_string canon.Canon.instance in
-        match Cache.find t.cache key with
+    | l -> (
+        match Cache.find t.cache l.Canon.key with
         | Some hit ->
             Proto.Reply
               {
@@ -412,12 +409,15 @@ let handle_request ?pressure t (req : Proto.request) =
                 degraded = false;
                 makespan = hit.makespan;
                 elapsed_us = elapsed_us ();
-                assignment = Canon.assignment_to_original canon hit.assignment;
+                assignment = Canon.to_original l hit.assignment;
                 trace = Some req_id;
               }
         | None ->
-            solve_and_store canon.Canon.instance ~store:(put key)
-              ~to_request:(Canon.assignment_to_original canon))
+            (* only a miss needs the relabeled instance: the cached
+               schedule is stored in the canonical labeling *)
+            solve_and_store
+              (Canon.canonical_instance req.instance l)
+              ~store:(put l.Canon.key) ~to_request:(Canon.to_original l))
   end
 
 (* Stats frames answer from the process-wide registries; they are admin

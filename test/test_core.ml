@@ -571,6 +571,48 @@ let test_io_file_roundtrip () =
       check_float "ptime preserved" (Core.Instance.ptime t 1 2)
         (Core.Instance.ptime t' 1 2))
 
+(* The printer must match the Printf reference byte for byte, on all
+   four environments, with and without a setup matrix, over values that
+   exercise every branch of %.17g. *)
+let awkward_times =
+  [| 0.0; -0.0; 0.1; 1e-300; 1e16; 1e17; 0x1p53; 1e300; 99999999999999984.0 |]
+
+let gen_time st =
+  match Random.State.int st 4 with
+  | 0 -> awkward_times.(Random.State.int st (Array.length awkward_times))
+  | 1 -> float_of_int (Random.State.int st 1000)
+  | 2 -> Random.State.float st 100.0
+  | _ -> ldexp (Random.State.float st 1.0) (Random.State.int st 140 - 70)
+
+let gen_ptime st = if Random.State.int st 6 = 0 then infinity else gen_time st
+
+let rec gen_speed st =
+  let v = gen_time st in
+  if v > 0.0 then v else gen_speed st
+
+let gen_instance st =
+  let module I = Core.Instance in
+  let n = 1 + Random.State.int st 6 in
+  let m = 1 + Random.State.int st 4 in
+  let k = 1 + Random.State.int st 3 in
+  let job_class = Array.init n (fun _ -> Random.State.int st k) in
+  let setups = Array.init k (fun _ -> gen_time st) in
+  let sizes = Array.init n (fun _ -> gen_time st) in
+  let matrix cols gen = Array.init m (fun _ -> Array.init cols (fun _ -> gen st)) in
+  match Random.State.int st 5 with
+  | 0 -> I.identical ~num_machines:m ~sizes ~job_class ~setups
+  | 1 -> I.uniform ~speeds:(Array.init m (fun _ -> gen_speed st)) ~sizes ~job_class ~setups
+  | 2 -> I.restricted ~eligible:(matrix n Random.State.bool) ~sizes ~job_class ~setups
+  | 3 -> I.unrelated ~p:(matrix n gen_ptime) ~job_class ~setups ()
+  | _ ->
+      I.unrelated ~setup_matrix:(matrix k gen_ptime) ~p:(matrix n gen_ptime)
+        ~job_class ~setups ()
+
+let prop_printer_matches_reference =
+  QCheck.Test.make ~name:"printer matches the Printf reference" ~count:500
+    (QCheck.make ~print:Instance_io_ref.to_string gen_instance)
+    (fun t -> String.equal (Core.Instance_io.to_string t) (Instance_io_ref.to_string t))
+
 let () =
   Alcotest.run "core"
     [
@@ -638,5 +680,6 @@ let () =
           Alcotest.test_case "comments and inf" `Quick
             test_io_comments_and_inf;
           Alcotest.test_case "file roundtrip" `Quick test_io_file_roundtrip;
+          QCheck_alcotest.to_alcotest prop_printer_matches_reference;
         ] );
     ]

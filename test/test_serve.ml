@@ -107,12 +107,101 @@ let test_canon_schedule_mapping () =
       done)
     generators
 
-(* --- Cache -------------------------------------------------------------- *)
+(* Every permutation of [0, n), in lexicographic order. *)
+let rec permutations = function
+  | [] -> [ [] ]
+  | xs ->
+      List.concat_map
+        (fun x -> List.map (fun rest -> x :: rest) (permutations (List.filter (( <> ) x) xs)))
+        xs
+
+let all_perms n = List.map Array.of_list (permutations (List.init n Fun.id))
 
 let counter name =
   match Obs.Counter.find name with
   | Some c -> Obs.Counter.value c
   | None -> 0
+
+(* The smallest meta-permute-canon reproducer: identical machines, m = 2,
+   setups 32 32 16 16, two jobs of size 32 in classes 2 and 3. Tied jobs
+   sit in tied classes, so an order by original index gave relabelings
+   different keys. Every relabeling (identical machines make machine
+   permutations no-ops) must give one key, and the schedule cached under
+   it must map back to each labeling at the same makespan. *)
+let test_canon_tied_entities () =
+  let base =
+    Core.Instance.identical ~num_machines:2 ~sizes:[| 32.0; 32.0 |]
+      ~job_class:[| 2; 3 |] ~setups:[| 32.0; 32.0; 16.0; 16.0 |]
+  in
+  let relabel ~jp ~cp =
+    let rank = Array.make 4 0 in
+    Array.iteri (fun y k -> rank.(k) <- y) cp;
+    Core.Instance.identical ~num_machines:2
+      ~sizes:(Array.map (fun j -> base.Core.Instance.sizes.(j)) jp)
+      ~job_class:(Array.map (fun j -> rank.(base.Core.Instance.job_class.(j))) jp)
+      ~setups:(Array.map (fun k -> base.Core.Instance.setups.(k)) cp)
+  in
+  let orders0 = counter "serve.canon.tie_orders" in
+  let capped0 = counter "serve.canon.capped" in
+  let canon = Serve.Canon.canonicalize base in
+  let cached = Algos.List_scheduling.schedule canon.Serve.Canon.instance in
+  let cached_assignment = Core.Schedule.assignment cached.Algos.Common.schedule in
+  let labelings = ref 0 in
+  List.iter
+    (fun jp ->
+      List.iter
+        (fun cp ->
+          incr labelings;
+          let inst = relabel ~jp ~cp in
+          let l = Serve.Canon.label inst in
+          Alcotest.(check string) "one key" canon.Serve.Canon.labeling.Serve.Canon.key
+            l.Serve.Canon.key;
+          let sched = Core.Schedule.make inst (Serve.Canon.to_original l cached_assignment) in
+          Alcotest.(check bool) "mapped schedule valid" true (Core.Schedule.is_valid inst sched);
+          Alcotest.(check (float 1e-9)) "same makespan" cached.Algos.Common.makespan
+            (Core.Schedule.makespan sched))
+        (all_perms 4))
+    (all_perms 2);
+  Alcotest.(check int) "48 labelings" 48 !labelings;
+  (* one cell of two non-twin classes: two orders per search, 49 searches *)
+  Alcotest.(check int) "tie orders" (orders0 + (2 * 49))
+    (counter "serve.canon.tie_orders");
+  Alcotest.(check int) "never capped" capped0 (counter "serve.canon.capped")
+
+(* Two tied classes of two same-size jobs each: every order of the
+   classes leaves the jobs to be ordered by their class ranks, so each
+   interleaving of the jobs must still give one key. *)
+let test_canon_jobs_follow_classes () =
+  let inst job_class =
+    Core.Instance.identical ~num_machines:2 ~sizes:[| 3.0; 3.0; 3.0; 3.0 |] ~job_class
+      ~setups:[| 5.0; 5.0 |]
+  in
+  let key = Serve.Canon.key (inst [| 0; 0; 1; 1 |]) in
+  List.iter
+    (fun jp ->
+      List.iter
+        (fun cp ->
+          let job_class = Array.map (fun j -> cp.([| 0; 0; 1; 1 |].(j))) jp in
+          Alcotest.(check string) "one key" key (Serve.Canon.key (inst job_class)))
+        (all_perms 2))
+    (all_perms 4)
+
+(* Ties between twins only (identical machines, empty classes with equal
+   setups, jobs with equal data) need no search. *)
+let test_canon_twins_do_not_search () =
+  let inst =
+    Core.Instance.identical ~num_machines:3 ~sizes:[| 5.0; 5.0; 7.0 |]
+      ~job_class:[| 0; 0; 1 |] ~setups:[| 2.0; 3.0; 4.0; 4.0 |]
+  in
+  let orders0 = counter "serve.canon.tie_orders" in
+  let key = Serve.Canon.key inst in
+  let r = rng 5 in
+  for _ = 1 to 8 do
+    Alcotest.(check string) "relabeled key" key (Serve.Canon.key (Serve.Canon.shuffle r inst))
+  done;
+  Alcotest.(check int) "no search" orders0 (counter "serve.canon.tie_orders")
+
+(* --- Cache -------------------------------------------------------------- *)
 
 let test_cache_lru () =
   let cache = Serve.Cache.create ~capacity:2 in
@@ -174,6 +263,94 @@ let test_cache_overwrite () =
   Alcotest.(check (option int)) "overwritten" (Some 2)
     (Serve.Cache.find cache "k");
   Alcotest.(check int) "no duplicate" 1 (Serve.Cache.length cache)
+
+(* A list-based reference LRU, most recently used first. *)
+type ref_lru = { cap : int; mutable entries : (string * int) list }
+
+let ref_find r k =
+  match List.assoc_opt k r.entries with
+  | Some v ->
+      r.entries <- (k, v) :: List.remove_assoc k r.entries;
+      Some v
+  | None -> None
+
+(* Returns the evicted key, if any. *)
+let ref_put r k v =
+  let entries = (k, v) :: List.remove_assoc k r.entries in
+  if List.length entries > r.cap then begin
+    r.entries <- List.filteri (fun i _ -> i < r.cap) entries;
+    Some (fst (List.nth entries r.cap))
+  end
+  else begin
+    r.entries <- entries;
+    None
+  end
+
+type cache_op = Put of string * int | Find of string
+
+let cache_ops_arb =
+  let open QCheck.Gen in
+  let key = oneofl [ "a"; "b"; "c"; "d"; "e" ] in
+  let op =
+    frequency
+      [ (1, map2 (fun k v -> Put (k, v)) key (int_bound 99)); (1, map (fun k -> Find k) key) ]
+  in
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap
+        (String.concat "; "
+           (List.map
+              (function Put (k, v) -> Printf.sprintf "put %s %d" k v | Find k -> "find " ^ k)
+              ops)))
+    (pair (int_range 1 4) (list_size (int_range 1 60) op))
+
+(* Same find results, the same recency order (so the same eviction
+   order) and a length within capacity after every operation. *)
+let prop_cache_matches_reference =
+  QCheck.Test.make ~name:"lru matches a list-based reference" ~count:300 cache_ops_arb
+    (fun (cap, ops) ->
+      let cache = Serve.Cache.create ~capacity:cap in
+      let model = { cap; entries = [] } in
+      List.for_all
+        (fun op ->
+          let same_result, evicted_ok =
+            match op with
+            | Find k -> (Serve.Cache.find cache k = ref_find model k, true)
+            | Put (k, v) ->
+                let before = Serve.Cache.keys cache in
+                Serve.Cache.put cache k v;
+                let after = Serve.Cache.keys cache in
+                let evicted = List.filter (fun x -> x <> k && not (List.mem x after)) before in
+                (true, evicted = Option.to_list (ref_put model k v))
+          in
+          same_result && evicted_ok
+          && Serve.Cache.keys cache = List.map fst model.entries
+          && Serve.Cache.length cache <= cap)
+        ops)
+
+(* A hit keeps nothing: 20,000 hits, each with a fresh copy of its key,
+   leave the live heap where it was. *)
+let test_cache_hits_retain_nothing () =
+  let cache = Serve.Cache.create ~capacity:2 in
+  Serve.Cache.put cache "alpha" 1;
+  Serve.Cache.put cache "beta" 2;
+  let hit i =
+    let key = Bytes.to_string (Bytes.of_string (if i land 1 = 0 then "alpha" else "beta")) in
+    if Serve.Cache.find cache key = None then Alcotest.fail "expected a hit"
+  in
+  for i = 1 to 1_000 do
+    hit i
+  done;
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  for i = 1 to 20_000 do
+    hit i
+  done;
+  Gc.full_major ();
+  let grown = (Gc.stat ()).Gc.live_words - before in
+  if grown > 2_000 then Alcotest.failf "20000 hits left %d live words behind" grown;
+  (* the cache must still be live when the heap is measured *)
+  Alcotest.(check int) "both entries kept" 2 (Serve.Cache.length cache)
 
 (* --- Dispatch ----------------------------------------------------------- *)
 
@@ -2944,6 +3121,12 @@ let () =
             test_canon_prehash_collides_on_permutations;
           Alcotest.test_case "prehash store roundtrip" `Quick
             test_canon_prehash_roundtrip_store;
+          Alcotest.test_case "tied entities share one key" `Quick
+            test_canon_tied_entities;
+          Alcotest.test_case "jobs follow their classes" `Quick
+            test_canon_jobs_follow_classes;
+          Alcotest.test_case "twins do not search" `Quick
+            test_canon_twins_do_not_search;
         ] );
       ( "cache",
         [
@@ -2951,6 +3134,9 @@ let () =
           Alcotest.test_case "eviction event and size gauge" `Quick
             test_cache_evict_event;
           Alcotest.test_case "overwrite" `Quick test_cache_overwrite;
+          QCheck_alcotest.to_alcotest prop_cache_matches_reference;
+          Alcotest.test_case "hits retain nothing" `Quick
+            test_cache_hits_retain_nothing;
         ] );
       ( "dispatch",
         [
