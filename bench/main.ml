@@ -1,6 +1,10 @@
-(* Benchmark harness: regenerates every experiment table (E1-E8, one per
-   theorem of the paper — see DESIGN.md and EXPERIMENTS.md) and then runs
-   Bechamel timing benchmarks, one per algorithm family. *)
+(* Benchmark harness, in three parts: every registered experiment table
+   (E1-E9 for the paper's theorems, the A1-A4 ablations and the X1-X2
+   cross-checks; see DESIGN.md and EXPERIMENTS.md), Bechamel timings of
+   one algorithm per family, and the serving-layer records written to
+   BENCH_serve.json for scripts/bench_gate.sh. The two mux records drive
+   a live mux over loopback TCP through Serve.Client, which checks every
+   reply. *)
 
 open Bechamel
 open Toolkit
@@ -161,19 +165,6 @@ let benchmark () =
    machine-readable across runs and scripts/bench_gate.sh can compare
    either producer against the committed baseline. *)
 
-(* Exact nearest-rank percentiles of per-iteration latencies (sorted in
-   place). Exact values, not histogram buckets: a bucket spans up to ~25%,
-   and the profiler overhead gate checks a 3% p50 bound. *)
-let percentiles_of lat =
-  let n = Array.length lat in
-  Array.sort compare lat;
-  let q p =
-    let idx = int_of_float (Float.round (p *. float_of_int n)) - 1 in
-    lat.(max 0 (min (n - 1) idx))
-  in
-  List.map (fun (label, p) -> (label ^ "_us", q p)) Obs.Expo.quantile_points
-  @ [ ("max_us", lat.(n - 1)) ]
-
 let measure ?(with_percentiles = false) ~name ~iterations f =
   let lat = Array.make (if with_percentiles then iterations else 0) 0.0 in
   let before = Obs.Counter.snapshot () in
@@ -188,7 +179,7 @@ let measure ?(with_percentiles = false) ~name ~iterations f =
   done;
   let wall_ns = (Obs.Sink.now_us () -. t0) *. 1e3 in
   let counters = Obs.Counter.delta ~before ~after:(Obs.Counter.snapshot ()) in
-  let percentiles = if with_percentiles then percentiles_of lat else [] in
+  let percentiles = Serve.Client.percentiles lat in
   { Obs.Expo.bname = name; iterations; wall_ns; percentiles; counters; trace_ids = [] }
 
 (* A record's counters narrowed to [names], 0 where one did not move, so
@@ -214,11 +205,10 @@ let exact_request instance =
 let fresh_server () =
   Serve.Server.create { Serve.Server.default_config with jobs = 1 }
 
-let mux_connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.setsockopt fd Unix.TCP_NODELAY true;
-  (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+let mux_clients name port n =
+  match Serve.Client.connect_all (Printf.sprintf "127.0.0.1:%d" port) n with
+  | Ok conns -> conns
+  | Error msg -> failwith (name ^ ": " ^ msg)
 
 (* The mux loop's own lifecycle counters (wakeups, accepts racing the
    measurement snapshot) are scheduling-dependent; records that cross
@@ -515,14 +505,13 @@ let serve_benchmarks () =
     in
     let runner = Domain.spawn (fun () -> Serve.Mux.run mux) in
     let connections = 64 in
-    let conns = Array.init connections (fun _ -> mux_connect port) in
-    let errors = ref 0 in
+    let conns = mux_clients "mux held" port connections in
+    let t = Serve.Client.tally () in
+    let frame = Serve.Proto.Solve (exact_request inst12) in
     let roundtrip i =
-      let _, ic, oc = conns.(i mod connections) in
-      Serve.Proto.write_request oc (exact_request inst12);
-      match Serve.Proto.read_response ic with
-      | Ok (Some (Serve.Proto.Reply rep)) when rep.Serve.Proto.cache_hit -> ()
-      | _ -> incr errors
+      ignore
+        (Serve.Client.round_trip t conns.(i mod connections)
+           (Serve.Client.Schedule inst12) frame)
     in
     for i = 0 to connections - 1 do
       roundtrip i
@@ -534,17 +523,21 @@ let serve_benchmarks () =
           roundtrip !turn;
           incr turn)
     in
-    Array.iter
-      (fun (fd, _, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
-      conns;
+    Array.iter Serve.Scrape.close conns;
     Serve.Mux.stop mux;
     Domain.join runner;
     Serve.Server.shutdown mserver;
-    if !errors > 0 then failwith "mux held: transport errors on loopback";
+    (* a hit counts only once its reply passed the client's check *)
+    let calls = connections + r.Obs.Expo.iterations in
+    let missed = calls - t.Serve.Client.hits in
+    if missed > 0 then
+      failwith
+        (Printf.sprintf "mux held: %d of %d round trips were not checked hits"
+           missed calls);
     drop_mux_counters r
       [
         ("serve.mux.connections_held", connections);
-        ("serve.mux.transport_errors", !errors);
+        ("serve.mux.transport_errors", missed);
       ]
   in
   (* mux transport, overload: one pool worker (jobs = 2) behind an
@@ -572,10 +565,10 @@ let serve_benchmarks () =
       | _ -> failwith "mux overload: expected a TCP address"
     in
     let runner = Domain.spawn (fun () -> Serve.Mux.run mux) in
-    let fd, ic, oc = mux_connect port in
+    let conn = mux_clients "mux overload" port 1 in
+    let t = Serve.Client.tally () in
     let rounds = 3 and burst = 9 in
     let iterations = rounds * burst in
-    let lat = Array.make iterations 0.0 in
     let adm = Obs.Labeled.family "serve.mux.admission" ~label:"outcome" in
     let outcomes =
       [ "admitted"; "shed_queue_full"; "shed_pressure"; "shed_deadline" ]
@@ -589,16 +582,9 @@ let serve_benchmarks () =
           (Workloads.Rng.create (7100 + round))
           ~n:20 ~m:5 ~k:4 ()
       in
-      let t_send = Obs.Sink.now_us () in
-      for _ = 1 to burst do
-        Serve.Proto.write_request oc (exact_request hard)
-      done;
-      for i = 0 to burst - 1 do
-        match Serve.Proto.read_response ic with
-        | Ok (Some (Serve.Proto.Reply _)) ->
-            lat.((round * burst) + i) <- Obs.Sink.now_us () -. t_send
-        | _ -> failwith "mux overload: expected a solve reply"
-      done
+      Serve.Client.burst t conn
+        (Array.make burst
+           (Serve.Proto.Solve (exact_request hard), Serve.Client.Schedule hard))
     done;
     let wall_ns = (Obs.Sink.now_us () -. t0) *. 1e3 in
     let ledger =
@@ -608,15 +594,20 @@ let serve_benchmarks () =
             adm_value o - List.assoc o adm_before ))
         outcomes
     in
-    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Array.iter Serve.Scrape.close conn;
     Serve.Mux.stop mux;
     Domain.join runner;
     Serve.Server.shutdown oserver;
+    if t.Serve.Client.schedules < iterations then
+      failwith
+        (Printf.sprintf "mux overload: %d of %d replies passed the check"
+           t.Serve.Client.schedules iterations);
     {
       Obs.Expo.bname = "mux overload burst=9 queue=4";
       iterations;
       wall_ns;
-      percentiles = percentiles_of lat;
+      percentiles =
+        Serve.Client.percentiles (Array.of_list t.Serve.Client.latencies_us);
       counters =
         ledger
         @ [ ("serve.mux.replies", iterations); ("serve.mux.queue_bound", 4) ];

@@ -718,193 +718,120 @@ let serve_cmd =
 
 (* --- loadgen ------------------------------------------------------------ *)
 
-(* Session-mode mutation: clone a random job of the client-side copy, so
-   the addition is valid in every environment (a ptimes column for
-   unrelated, an eligibility column for restricted). *)
-let clone_random_job rng inst =
-  let m = Core.Instance.num_machines inst in
-  let job = Workloads.Rng.int rng (Core.Instance.num_jobs inst) in
-  let nptimes =
-    match inst.Core.Instance.env with
-    | Core.Instance.Unrelated p -> Some (Array.init m (fun i -> p.(i).(job)))
-    | Core.Instance.Identical | Core.Instance.Uniform _
-    | Core.Instance.Restricted _ ->
-        None
-  in
-  let neligible =
-    match inst.Core.Instance.env with
-    | Core.Instance.Restricted e -> Some (Array.init m (fun i -> e.(i).(job)))
-    | Core.Instance.Identical | Core.Instance.Uniform _
-    | Core.Instance.Unrelated _ ->
-        None
-  in
-  {
-    Core.Instance.nsize = inst.Core.Instance.sizes.(job);
-    nclass = inst.Core.Instance.job_class.(job);
-    nptimes;
-    neligible;
-  }
-
-(* Drive [sessions] full lifecycles: create, resolve (from scratch),
-   then [mutations] alternating add/drop mutations each followed by an
-   incremental resolve, then close. Latencies land in two buckets —
-   first resolves (full solves) vs mutation resolves (repairs) — so the
-   printed speedup compares p50 from-scratch against p50 repair; cache
-   hits say nothing about solver latency and are excluded from both. *)
-let loadgen_sessions ~conn ~instance ~path ~sessions ~mutations ~deadline
-    ~permute ~seed ~json =
-  let rng = Workloads.Rng.create seed in
-  let h_full = Obs.Histogram.make "loadgen.session_full_us" in
-  let h_repair = Obs.Histogram.make "loadgen.session_repair_us" in
-  let repairs = ref 0 and fallbacks = ref 0 and cache_hits = ref 0 in
-  let full_solves = ref 0 and errors = ref 0 in
-  let slowest_full = ref (neg_infinity, "") in
-  let attempted = ref 0 in
-  let transport_error = ref None in
-  let exception Transport of string in
-  let exchange req =
-    incr attempted;
-    match Serve.Scrape.exchange conn (Serve.Proto.Session req) with
-    | Ok resp -> resp
-    | Error msg -> raise (Transport msg)
-  in
-  let count_mode = function
-    | Some "cache" -> incr cache_hits
-    | Some "repair" -> incr repairs
-    | Some "fallback" -> incr fallbacks
-    | Some "full" -> incr full_solves
-    | Some _ | None -> ()
-  in
-  let t_start = Obs.Sink.now_us () in
-  (try
-     for s = 1 to sessions do
-       let base =
-         if permute then Serve.Canon.shuffle rng instance else instance
-       in
-       let sid = Printf.sprintf "lg%d-%d" seed s in
-       Obs.Sink.with_ctx sid @@ fun () ->
-       Obs.Span.phase ~detail:("sid=" ^ sid) "loadgen.session" @@ fun () ->
-       (* every frame of the lifecycle carries the session id as its
-          trace id, with the client's open span as the parent link *)
-       let tr () =
-         Some { Serve.Proto.tid = sid; parent = Obs.Sink.current_span () }
-       in
-       let resolve hist =
-         let t0 = Obs.Sink.now_us () in
-         match
-           exchange
-             {
-               Serve.Proto.sid;
-               op = Serve.Proto.S_resolve { deadline_ms = deadline }; trace = tr ()
-             }
-         with
-         | Serve.Proto.Session_reply r ->
-             let dt = Obs.Sink.now_us () -. t0 in
-             count_mode r.Serve.Proto.mode;
-             if r.Serve.Proto.mode <> Some "cache" then begin
-               Obs.Histogram.observe hist dt;
-               if hist == h_full && dt > fst !slowest_full then
-                 slowest_full := (dt, sid)
-             end
-         | _ -> incr errors
-       in
-       (match exchange { Serve.Proto.sid; op = Serve.Proto.S_create base; trace = tr () } with
-       | Serve.Proto.Session_reply _ ->
-           resolve h_full;
-           let local = ref base in
-           for k = 1 to mutations do
-             (if k land 1 = 0 && Core.Instance.num_jobs !local > 1 then begin
-                let n = Core.Instance.num_jobs !local in
-                match
-                  exchange
-                    { Serve.Proto.sid; op = Serve.Proto.S_drop_jobs [ n - 1 ]; trace = tr () }
-                with
-                | Serve.Proto.Session_reply _ ->
-                    local :=
-                      Core.Instance.induced !local (List.init (n - 1) Fun.id)
-                | _ -> incr errors
-              end
-              else begin
-                let job = clone_random_job rng !local in
-                match
-                  exchange
-                    { Serve.Proto.sid; op = Serve.Proto.S_add_jobs [ job ]; trace = tr () }
-                with
-                | Serve.Proto.Session_reply _ ->
-                    local := Core.Instance.append_jobs !local [ job ]
-                | _ -> incr errors
-              end);
-             resolve h_repair
-           done;
-           (match exchange { Serve.Proto.sid; op = Serve.Proto.S_close; trace = tr () } with
-           | Serve.Proto.Session_reply _ -> ()
-           | _ -> incr errors)
-       | _ -> incr errors)
-     done
-   with Transport msg -> transport_error := Some msg);
-  let wall_ns = (Obs.Sink.now_us () -. t_start) *. 1e3 in
-  match !transport_error with
-  | Some msg -> `Error (false, "session loadgen aborted: " ^ msg)
-  | None ->
-      let sf = Obs.Histogram.merged h_full in
-      let sr = Obs.Histogram.merged h_repair in
-      let q s p =
-        if s.Obs.Histogram.count = 0 then nan else Obs.Histogram.quantile s p
-      in
-      Printf.printf "sessions   %d\n" sessions;
-      Printf.printf "frames     %d\n" !attempted;
-      Printf.printf "full       %d (p50 %.0f us)\n" !full_solves (q sf 0.5);
-      Printf.printf "repairs    %d (p50 %.0f us)\n" !repairs (q sr 0.5);
-      Printf.printf "fallbacks  %d\n" !fallbacks;
-      Printf.printf "cache      %d\n" !cache_hits;
-      Printf.printf "errors     %d\n" !errors;
-      let speedup = q sf 0.5 /. q sr 0.5 in
+(* The printed report and the --json record of one run; every count is
+   of frames that got a reply. *)
+let loadgen_report ~path ~json ~sessions ~connections ~wall_ns
+    (t : Serve.Client.tally) =
+  let mode m = Option.value ~default:0 (List.assoc_opt m t.modes) in
+  let lat = Serve.Client.percentiles (Array.of_list t.latencies_us) in
+  let rep = Serve.Client.percentiles (Array.of_list t.repairs_us) in
+  let at key ps = Option.value ~default:nan (List.assoc_opt key ps) in
+  let row w label v = Printf.printf "%-*s%d\n" w label v in
+  let name, percentiles, counters, slowest_key =
+    if sessions > 0 then begin
+      let speedup = at "p50_us" lat /. at "p50_us" rep in
+      row 11 "sessions" sessions;
+      row 11 "frames" t.answered;
+      Printf.printf "full       %d (p50 %.0f us)\n" (mode "full") (at "p50_us" lat);
+      Printf.printf "repairs    %d (p50 %.0f us)\n" (mode "repair") (at "p50_us" rep);
+      row 11 "fallbacks" (mode "fallback");
+      row 11 "cache" (mode "cache");
+      row 11 "errors" t.errors;
+      if t.invalid > 0 then row 11 "invalid" t.invalid;
       if Float.is_finite speedup then
         Printf.printf "speedup    %.1fx (full p50 / repair p50)\n" speedup;
-      Option.iter
-        (fun file ->
-          let record =
-            {
-              Obs.Expo.bname = "loadgen sessions " ^ Filename.basename path;
-              iterations = !attempted;
-              wall_ns;
-              percentiles =
-                (if sf.Obs.Histogram.count > 0 then
-                   [ ("full_p50_us", q sf 0.5) ]
-                 else [])
-                @ (if sr.Obs.Histogram.count > 0 then
-                     [
-                       ("repair_p50_us", q sr 0.5);
-                       ("repair_p90_us", q sr 0.9);
-                     ]
-                   else []);
-              counters =
-                [
-                  ("loadgen.sessions", sessions);
-                  ("loadgen.full", !full_solves);
-                  ("loadgen.repairs", !repairs);
-                  ("loadgen.fallbacks", !fallbacks);
-                  ("loadgen.cache_hits", !cache_hits);
-                  ("loadgen.errors", !errors);
-                ]
-                @
-                if Float.is_finite speedup then
-                  [ ("loadgen.speedup_x100", int_of_float (speedup *. 100.0)) ]
-                else [];
-              trace_ids =
-                (if snd !slowest_full <> "" then
-                   [ ("slowest_full", snd !slowest_full) ]
-                 else []);
-            }
-          in
-          let out = open_out file in
-          output_string out (Obs.Expo.bench_records_json [ record ]);
-          close_out out;
-          Printf.printf "wrote %s\n" file)
-        json;
-      if !errors > 0 && !full_solves + !repairs + !fallbacks + !cache_hits = 0
-      then `Error (false, Printf.sprintf "all %d frame(s) failed" !attempted)
-      else `Ok ()
+      ( "loadgen sessions ",
+        (if lat = [] then [] else [ ("full_p50_us", at "p50_us" lat) ])
+        @ (if rep = [] then []
+           else
+             [ ("repair_p50_us", at "p50_us" rep); ("repair_p90_us", at "p90_us" rep) ]),
+        [
+          ("loadgen.sessions", sessions);
+          ("loadgen.full", mode "full");
+          ("loadgen.repairs", mode "repair");
+          ("loadgen.fallbacks", mode "fallback");
+          ("loadgen.cache_hits", mode "cache");
+          ("loadgen.errors", t.errors);
+          ("loadgen.invalid", t.invalid);
+        ]
+        @ (if Float.is_finite speedup then
+             [ ("loadgen.speedup_x100", int_of_float (speedup *. 100.0)) ]
+           else []),
+        "slowest_full" )
+    end
+    else begin
+      let misses = t.schedules - t.hits in
+      if connections > 1 then Printf.printf "connections %d\n" connections;
+      row 10 "requests" t.answered;
+      row 10 "hits" t.hits;
+      row 10 "misses" misses;
+      row 10 "errors" t.errors;
+      if t.invalid > 0 then row 10 "invalid" t.invalid;
+      row 10 "degraded" t.degraded;
+      if t.echo_bad > 0 then Printf.printf "trace-echo mismatches %d\n" t.echo_bad;
+      if lat <> [] then begin
+        let n = float_of_int (List.length t.latencies_us) in
+        Printf.printf "latency us  mean %.0f"
+          (List.fold_left ( +. ) 0.0 t.latencies_us /. n);
+        List.iter
+          (fun (k, v) ->
+            (* keys are "p50_us" etc.; print without the unit suffix *)
+            Printf.printf "  %s %.0f" (String.sub k 0 (String.length k - 3)) v)
+          lat;
+        print_newline ();
+        Printf.printf "last makespan %g\n" t.last_makespan
+      end;
+      ( "loadgen ",
+        lat,
+        [
+          ("loadgen.connections", connections);
+          ("loadgen.hits", t.hits);
+          ("loadgen.misses", misses);
+          ("loadgen.errors", t.errors);
+          ("loadgen.invalid", t.invalid);
+          ("loadgen.degraded", t.degraded);
+        ]
+        @ (if t.echo_bad > 0 then [ ("loadgen.trace_echo_bad", t.echo_bad) ]
+           else []),
+        "slowest" )
+    end
+  in
+  Option.iter
+    (fun file ->
+      let record =
+        {
+          Obs.Expo.bname = name ^ Filename.basename path;
+          iterations = t.answered;
+          wall_ns;
+          percentiles;
+          counters;
+          trace_ids =
+            (match t.slowest with _, "" -> [] | _, id -> [ (slowest_key, id) ]);
+        }
+      in
+      let out = open_out file in
+      output_string out (Obs.Expo.bench_records_json [ record ]);
+      close_out out;
+      Printf.printf "wrote %s\n" file)
+    json
+
+(* A run fails when a stream is lost, when any reply fails the check,
+   and when every reply is an error. *)
+let loadgen_verdict ~target (t : Serve.Client.tally) =
+  match t.failure with
+  | Some msg ->
+      Some
+        (Printf.sprintf "lost %s after %d answered frame(s): %s" target
+           t.answered msg)
+  | None when t.invalid > 0 ->
+      Some
+        (Printf.sprintf "%d invalid repl%s from %s; the first: %s" t.invalid
+           (if t.invalid = 1 then "y" else "ies")
+           target
+           (Option.value ~default:"" t.first_invalid))
+  | None when t.errors > 0 && t.schedules = 0 ->
+      Some (Printf.sprintf "all %d request(s) to %s failed" t.answered target)
+  | None -> None
 
 let loadgen_cmd =
   let socket_arg =
@@ -995,273 +922,46 @@ let loadgen_cmd =
     match read_instance path with
     | Error msg -> `Error (false, msg)
     | Ok instance -> (
-        (* a server vanishing mid-run must surface as a counted
-           transport error, not a SIGPIPE death *)
+        (* a server vanishing mid-run must surface as a transport
+           failure, not a SIGPIPE death *)
         Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-        let connect_one () = Serve.Scrape.connect socket in
-        if hold_open then begin
-          (* slow-client mode: park connections mid-frame (header sent,
-             body never arriving) so the server's event loop has to keep
-             the buffers around while still serving everyone else *)
-          let held = ref [] in
-          let failed = ref None in
-          (try
-             for _ = 1 to connections do
-               match connect_one () with
-               | Error msg ->
-                   failed := Some msg;
-                   raise Exit
-               | Ok conn ->
-                   held := conn :: !held;
-                   output_string conn.Serve.Scrape.oc "request v1\n";
-                   flush conn.Serve.Scrape.oc
-             done
-           with Exit -> ());
-          let release () = List.iter Serve.Scrape.close !held in
-          match !failed with
-          | Some msg ->
-              let got = List.length !held in
-              release ();
-              `Error
-                ( false,
-                  Printf.sprintf "held %d of %d connection(s), then: %s" got
-                    connections msg )
-          | None ->
-              Printf.printf "holding %d connection(s) open for %gs\n%!"
-                connections hold_seconds;
-              Unix.sleepf hold_seconds;
-              release ();
-              Printf.printf "released %d connection(s)\n" connections;
-              finish ~stats:false
-        end
-        else
-        let conns = Array.make connections None in
-        let conn_error = ref None in
-        (try
-           for i = 0 to connections - 1 do
-             match connect_one () with
-             | Error msg ->
-                 conn_error := Some msg;
-                 raise Exit
-             | Ok conn -> conns.(i) <- Some conn
-           done
-         with Exit -> ());
-        let close_all () = Array.iter (Option.iter Serve.Scrape.close) conns in
-        match !conn_error with
-        | Some msg ->
-            close_all ();
-            `Error (false, msg)
-        | None ->
-            (* request i rides connection (i-1) mod N: round-robin *)
-            let conn i =
-              match conns.((i - 1) mod connections) with
-              | Some c -> c
-              | None -> assert false
+        match Serve.Client.connect_all socket connections with
+        | Error msg -> `Error (false, msg)
+        | Ok conns ->
+            let load =
+              { Serve.Client.instance; permute; seed; solver; deadline_ms = deadline }
             in
-            if sessions > 0 then begin
-              let r =
-                loadgen_sessions ~conn:(conn 1) ~instance ~path ~sessions
-                  ~mutations ~deadline ~permute ~seed ~json
-              in
-              close_all ();
-              match r with `Ok () -> finish ~stats:false | other -> other
-            end
-            else begin
-            let rng = Workloads.Rng.create seed in
-            let hits = ref 0 and degraded = ref 0 and errors = ref 0 in
-            let h_latency = Obs.Histogram.make "loadgen.request_latency_us" in
-            let last_makespan = ref nan in
-            let echo_bad = ref 0 in
-            let slowest = ref (neg_infinity, "") in
-            let transport_error = ref None in
-            let attempted = ref 0 in
             let t_start = Obs.Sink.now_us () in
-            (try
-               if pipeline then begin
-                 (* write-all-then-read-all: every request goes out before
-                    any response is read, so a bounded admission queue sees
-                    the whole burst at once. Per-connection response order
-                    matches send order, so reading back in send order is
-                    safe. Client spans are skipped — a span can't bracket a
-                    send and a receive that overlap other requests. *)
-                 let t_send = Array.make (count + 1) 0.0 in
-                 let tids = Array.make (count + 1) "" in
-                 (try
-                    for i = 1 to count do
-                      incr attempted;
-                      let inst =
-                        if permute then Serve.Canon.shuffle rng instance
-                        else instance
-                      in
-                      let tid = Printf.sprintf "lg%d.%d" seed i in
-                      tids.(i) <- tid;
-                      t_send.(i) <- Obs.Sink.now_us ();
-                      Serve.Proto.write_request (conn i).Serve.Scrape.oc
-                        {
-                          Serve.Proto.solver;
-                          deadline_ms = deadline;
-                          instance = inst;
-                          trace = Some { Serve.Proto.tid; parent = None };
-                        }
-                    done
-                  with Sys_error msg ->
-                    incr errors;
-                    transport_error := Some msg;
-                    raise Exit);
-                 for i = 1 to count do
-                   (match Serve.Proto.read_response (conn i).Serve.Scrape.ic with
-                   | Ok (Some (Serve.Proto.Reply r)) ->
-                       if r.Serve.Proto.trace <> Some tids.(i) then
-                         incr echo_bad;
-                       if r.Serve.Proto.cache_hit then incr hits;
-                       if r.Serve.Proto.degraded then incr degraded;
-                       last_makespan := r.Serve.Proto.makespan
-                   | Ok (Some _) -> incr errors
-                   | Ok None ->
-                       incr errors;
-                       transport_error := Some "server closed the session";
-                       raise Exit
-                   | Error msg ->
-                       incr errors;
-                       transport_error := Some msg;
-                       raise Exit
-                   | exception Sys_error msg ->
-                       incr errors;
-                       transport_error := Some msg;
-                       raise Exit);
-                   let dt = Obs.Sink.now_us () -. t_send.(i) in
-                   if dt > fst !slowest then slowest := (dt, tids.(i));
-                   Obs.Histogram.observe h_latency dt
-                 done
-               end
-               else
-               for i = 1 to count do
-                 incr attempted;
-                 let inst =
-                   if permute then Serve.Canon.shuffle rng instance else instance
-                 in
-                 (* client-minted trace id, propagated on the wire; the
-                    open client span becomes the server root's parent so
-                    merged traces chain across the process boundary *)
-                 let tid = Printf.sprintf "lg%d.%d" seed i in
-                 Obs.Sink.with_ctx tid @@ fun () ->
-                 Obs.Span.phase ~detail:("trace=" ^ tid) "loadgen.request"
-                 @@ fun () ->
-                 let t0 = Obs.Sink.now_us () in
-                 (match
-                    Serve.Scrape.exchange (conn i)
-                      (Serve.Proto.Solve
-                         {
-                           Serve.Proto.solver;
-                           deadline_ms = deadline;
-                           instance = inst;
-                           trace =
-                             Some
-                               {
-                                 Serve.Proto.tid;
-                                 parent = Obs.Sink.current_span ();
-                               };
-                         })
-                  with
-                 | Ok (Serve.Proto.Reply r) ->
-                     if r.Serve.Proto.trace <> Some tid then incr echo_bad;
-                     if r.Serve.Proto.cache_hit then incr hits;
-                     if r.Serve.Proto.degraded then incr degraded;
-                     last_makespan := r.Serve.Proto.makespan
-                 | Ok _ -> incr errors
-                 | Error msg ->
-                     (* the stream is gone (closed, broken or garbled):
-                        every further request would fail identically, so
-                        stop *)
-                     incr errors;
-                     transport_error := Some msg;
-                     raise Exit);
-                 let dt = Obs.Sink.now_us () -. t0 in
-                 if dt > fst !slowest then slowest := (dt, tid);
-                 Obs.Histogram.observe h_latency dt
-               done
-             with Exit -> ());
-            let wall_ns = (Obs.Sink.now_us () -. t_start) *. 1e3 in
-            close_all ();
-            if !errors > 0 && !errors = !attempted then
-              `Error
-                ( false,
-                  Printf.sprintf "all %d request(s) to %s failed%s" !attempted
-                    socket
-                    (match !transport_error with
-                    | Some msg -> ": " ^ msg
-                    | None -> "") )
-            else begin
-            if connections > 1 then
-              Printf.printf "connections %d\n" connections;
-            Printf.printf "requests  %d\n" !attempted;
-            Printf.printf "hits      %d\n" !hits;
-            Printf.printf "misses    %d\n" (!attempted - !hits - !errors);
-            Printf.printf "errors    %d\n" !errors;
-            Printf.printf "degraded  %d\n" !degraded;
-            if !echo_bad > 0 then
-              Printf.printf "trace-echo mismatches %d\n" !echo_bad;
-            let s = Obs.Histogram.merged h_latency in
-            let percentiles =
-              if s.Obs.Histogram.count = 0 then []
-              else
-                [
-                  ("p50_us", Obs.Histogram.quantile s 0.5);
-                  ("p90_us", Obs.Histogram.quantile s 0.9);
-                  ("p99_us", Obs.Histogram.quantile s 0.99);
-                  ("max_us", s.Obs.Histogram.max_value);
-                ]
+            let t =
+              if hold_open then
+                (* slow-client mode: park connections mid-frame so the
+                   server's event loop has to keep their buffers around
+                   while still serving everyone else *)
+                Serve.Client.hold_open conns ~seconds:hold_seconds
+                  ~on_hold:(fun () ->
+                    Printf.printf "holding %d connection(s) open for %gs\n%!"
+                      connections hold_seconds)
+              else if sessions > 0 then
+                Serve.Client.sessions load conns.(0) ~sessions ~mutations
+              else if pipeline then Serve.Client.pipelined load conns ~count
+              else Serve.Client.closed_loop load conns ~count
             in
-            if s.Obs.Histogram.count > 0 then begin
-              Printf.printf "latency us  mean %.0f"
-                (s.Obs.Histogram.sum /. float_of_int s.Obs.Histogram.count);
-              List.iter
-                (fun (k, v) ->
-                  (* keys are "p50_us" etc.; print without the unit suffix *)
-                  Printf.printf "  %s %.0f" (String.sub k 0 (String.length k - 3)) v)
-                percentiles;
-              print_newline ();
-              Printf.printf "last makespan %g\n" !last_makespan
-            end;
-            Option.iter
-              (fun file ->
-                let record =
-                  {
-                    Obs.Expo.bname = "loadgen " ^ Filename.basename path;
-                    iterations = !attempted;
-                    wall_ns;
-                    percentiles;
-                    counters =
-                      [
-                        ("loadgen.connections", connections);
-                        ("loadgen.hits", !hits);
-                        ("loadgen.misses", !attempted - !hits - !errors);
-                        ("loadgen.errors", !errors);
-                        ("loadgen.degraded", !degraded);
-                      ]
-                      @
-                      (if !echo_bad > 0 then
-                         [ ("loadgen.trace_echo_bad", !echo_bad) ]
-                       else []);
-                    trace_ids =
-                      (if snd !slowest <> "" then
-                         [ ("slowest", snd !slowest) ]
-                       else []);
-                  }
-                in
-                let out = open_out file in
-                output_string out (Obs.Expo.bench_records_json [ record ]);
-                close_out out;
-                Printf.printf "wrote %s\n" file)
-              json;
-            finish ~stats:false
-            end
-            end)
+            let wall_ns = (Obs.Sink.now_us () -. t_start) *. 1e3 in
+            Array.iter Serve.Scrape.close conns;
+            if hold_open then
+              Printf.printf "released %d connection(s)\n" connections
+            else loadgen_report ~path ~json ~sessions ~connections ~wall_ns t;
+            flush stdout;
+            let finished = finish ~stats:false in
+            match loadgen_verdict ~target:socket t with
+            | Some msg -> `Error (false, msg)
+            | None -> finished)
   in
   let info =
     Cmd.info "loadgen"
-      ~doc:"Replay an instance against a running serve socket and report \
-            hit rates and latency."
+      ~doc:"Replay an instance against a running serve socket, check \
+            every reply against the instance sent, and report hit rates \
+            and latency."
   in
   Cmd.v info
     Term.(

@@ -159,34 +159,11 @@ let check_drop_job ~rng ~oracle ~exact_job_limit instance =
           ]
         else []
 
-(* Clone a random job: duplicating job [j]'s entire column (size, class,
-   per-machine times, eligibility) is a twin every environment accepts,
-   and adding work can only push the optimum up. *)
-let clone_job instance ~job =
-  let m = I.num_machines instance in
-  let nptimes =
-    match instance.I.env with
-    | I.Unrelated p -> Some (Array.init m (fun i -> p.(i).(job)))
-    | I.Identical | I.Uniform _ | I.Restricted _ -> None
-  in
-  let neligible =
-    match instance.I.env with
-    | I.Restricted eligible -> Some (Array.init m (fun i -> eligible.(i).(job)))
-    | I.Identical | I.Uniform _ | I.Unrelated _ -> None
-  in
-  I.append_jobs instance
-    [
-      {
-        I.nsize = instance.I.sizes.(job);
-        nclass = instance.I.job_class.(job);
-        nptimes;
-        neligible;
-      };
-    ]
-
 let check_add_job ~rng ~oracle ~exact_job_limit instance =
+  (* duplicating job [j]'s entire column is a twin every environment
+     accepts, and adding work can only push the optimum up *)
   let job = Workloads.Rng.int rng (I.num_jobs instance) in
-  let twin = clone_job instance ~job in
+  let twin = I.append_jobs instance [ I.clone_job instance job ] in
   let violations = ref [] in
   let add x = violations := x :: !violations in
   let lb = Core.Bounds.lower_bound instance

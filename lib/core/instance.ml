@@ -254,6 +254,17 @@ let append_jobs t jobs =
         ?setup_matrix:(Option.map (Array.map Array.copy) t.setup_matrix)
         ~p ~job_class ~setups ()
 
+let clone_job t job =
+  if job < 0 || job >= num_jobs t then
+    invalid_arg (Printf.sprintf "Instance.clone_job: job %d out of range" job);
+  let column a = Array.init t.num_machines (fun i -> a.(i).(job)) in
+  {
+    nsize = t.sizes.(job);
+    nclass = t.job_class.(job);
+    nptimes = (match t.env with Unrelated p -> Some (column p) | _ -> None);
+    neligible = (match t.env with Restricted e -> Some (column e) | _ -> None);
+  }
+
 let scale_setups t factor =
   if not (factor >= 0.0 && factor < infinity) then
     invalid_arg "Instance.scale_setups: factor must be finite and >= 0";

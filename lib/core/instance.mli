@@ -125,6 +125,12 @@ val append_jobs : t -> new_job list -> t
     list, an out-of-range class, a malformed per-machine column, or a
     column kind that does not match the environment. *)
 
+val clone_job : t -> int -> new_job
+(** [clone_job t j] is job [j]'s whole column as a {!new_job}: its size,
+    its class, and its per-machine times ([Unrelated]) or eligibility
+    ([Restricted]), so {!append_jobs} accepts the copy in every
+    environment. Raises [Invalid_argument] when [j] is out of range. *)
+
 val scale_setups : t -> float -> t
 (** Multiply all base setup sizes (and the setup matrix, if any) by a
     factor. Used by the setup-dominance experiments. *)

@@ -3,9 +3,12 @@
     One target grammar — a Unix-domain socket path, or [HOST:PORT] for
     TCP — reaches every server and router: {!listen} binds every
     listener (all of them {!Mux}'s), {!connect} + {!exchange} carry
-    every client round trip ([schedtool loadgen], [metrics], [events],
-    [explain], [top], [profile] and the router's forwards to its
-    backends). The rest is the
+    every client round trip: the admin commands ([metrics], [events],
+    [explain], [top], [profile]), the router's forwards to its
+    backends, and {!Client}'s drivers behind [schedtool loadgen] and
+    the bench's mux records. {!exchange} only parses a reply;
+    {!Client.check} is what checks it against the client's own copy of
+    the instance, with perfbench's semantics. The rest is the
     pure text wrangling scrapes need: a Prometheus text parser (the
     project carries no JSON parser dependency), snapshot diffing,
     histogram-delta quantiles, and the [health v1] payload's

@@ -3107,6 +3107,192 @@ let test_router_backend_failure () =
   Alcotest.(check int) "the revived, then restarted backend is reached" 3
     (counter "serve.router.backend_errors" - errors0)
 
+(* --- client: the reply check and its drivers -------------------------------- *)
+
+let client_inst () = Workloads.Gen.uniform (rng 5) ~n:10 ~m:3 ~k:3 ()
+
+(* A solve reply carrying [assignment], stating [makespan]. *)
+let reply_of ~makespan assignment =
+  Serve.Proto.Reply
+    {
+      Serve.Proto.solver = "test";
+      cache_hit = false;
+      degraded = false;
+      makespan;
+      elapsed_us = 0;
+      assignment;
+      trace = None;
+    }
+
+(* A valid assignment of [inst] and its exact makespan. *)
+let valid_assignment inst =
+  let s = (Algos.List_scheduling.schedule inst).Algos.Common.schedule in
+  (Core.Schedule.assignment s, Core.Schedule.makespan s)
+
+let passes = function Ok _ -> true | Error _ -> false
+
+let test_client_check_schedules () =
+  let inst = client_inst () in
+  let a, exact = valid_assignment inst in
+  (* the wire prints makespans with %g, and this one has more digits *)
+  let makespan = float_of_string (Printf.sprintf "%g" exact) in
+  Alcotest.(check bool) "%g rounding moves this makespan" true (makespan <> exact);
+  let check_on inst resp = passes (Serve.Client.check (Serve.Client.Schedule inst) resp) in
+  Alcotest.(check bool) "a valid reply, equal after %g rounding, passes" true
+    (check_on inst (reply_of ~makespan a));
+  Alcotest.(check bool) "a makespan off by more than rounding fails" false
+    (check_on inst (reply_of ~makespan:(makespan *. (1.0 +. 1e-4)) a));
+  (* the schedule of one labeling read under another: what a server
+     that skips the map-back to the requester's labeling sends *)
+  let relabeled = Serve.Canon.shuffle (rng 6) inst in
+  Alcotest.(check bool) "a wrong permutation fails" false
+    (check_on relabeled (reply_of ~makespan a));
+  let reason a =
+    match Serve.Client.check (Serve.Client.Schedule inst) (reply_of ~makespan a) with
+    | Ok _ -> "passed"
+    | Error msg -> msg
+  in
+  Alcotest.(check string) "one entry short fails" "assignment has the wrong length"
+    (reason (Array.sub a 0 (Array.length a - 1)));
+  Alcotest.(check string) "one entry over fails" "assignment has the wrong length"
+    (reason (Array.append a [| 0 |]))
+
+let test_client_error_is_not_invalid () =
+  let inst = client_inst () in
+  let t = Serve.Client.tally () in
+  let frame = solve_frame inst and expect = Serve.Client.Schedule inst in
+  Alcotest.(check bool) "an error reply does not pass" true
+    (Serve.Client.record t frame expect (Serve.Proto.Error "boom") ~us:1.0 = None);
+  Alcotest.(check (pair int int)) "an error reply is an error" (1, 0)
+    (t.Serve.Client.errors, t.Serve.Client.invalid);
+  ignore
+    (Serve.Client.record t frame expect
+       (Serve.Proto.Health_reply { body = "" })
+       ~us:1.0);
+  Alcotest.(check (pair int int)) "a reply of another kind is invalid" (1, 1)
+    (t.Serve.Client.errors, t.Serve.Client.invalid);
+  Alcotest.(check int) "both were answered" 2 t.Serve.Client.answered
+
+let test_client_check_acks () =
+  let ack op jobs =
+    Serve.Proto.Session_reply
+      { sid = "s"; op; generation = 1; jobs; mode = None; solve = None; trace = None }
+  in
+  let check expect resp = passes (Serve.Client.check expect resp) in
+  let expect = Serve.Client.Ack { op = "add-jobs"; jobs = 9 } in
+  Alcotest.(check bool) "the op and job count sent pass" true
+    (check expect (ack "add-jobs" 9));
+  Alcotest.(check bool) "a wrong op fails" false (check expect (ack "drop-jobs" 9));
+  Alcotest.(check bool) "a wrong job count fails" false (check expect (ack "add-jobs" 8))
+
+(* A server on a loopback mux whose worker path may rewrite each reply;
+   [f] gets a connection to it. *)
+let with_client_mux ?(rewrite = Fun.id) f =
+  let server =
+    Serve.Server.create
+      { Serve.Server.default_config with cache_capacity = 8; jobs = 1 }
+  in
+  let svc = Serve.Server.service server in
+  let mux =
+    Serve.Mux.of_service
+      { svc with run = (fun ~pressure frame -> rewrite (svc.run ~pressure frame)) }
+  in
+  let port =
+    match Serve.Mux.add_tcp mux ~host:"127.0.0.1" ~port:0 with
+    | Unix.ADDR_INET (_, port) -> port
+    | _ -> Alcotest.fail "expected a TCP address"
+  in
+  let stop = start_mux mux in
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      Serve.Server.shutdown server)
+  @@ fun () ->
+  match Serve.Scrape.connect (Printf.sprintf "127.0.0.1:%d" port) with
+  | Error msg -> Alcotest.fail msg
+  | Ok conn -> Fun.protect ~finally:(fun () -> Serve.Scrape.close conn) (fun () -> f conn)
+
+let test_client_mutant_server () =
+  (* a server that answers every solve with its assignment reversed, as
+     a map-back through the wrong permutation would: over 20 relabelings
+     the closed loop counts invalid replies, and against the same server
+     unmutated it counts none *)
+  let load =
+    {
+      Serve.Client.instance = client_inst ();
+      permute = true;
+      seed = 3;
+      solver = None;
+      deadline_ms = None;
+    }
+  in
+  let reverse = function
+    | Serve.Proto.Reply r ->
+        let a = r.Serve.Proto.assignment in
+        let n = Array.length a in
+        Serve.Proto.Reply
+          { r with Serve.Proto.assignment = Array.init n (fun j -> a.(n - 1 - j)) }
+    | resp -> resp
+  in
+  let run ?rewrite () =
+    with_client_mux ?rewrite @@ fun conn ->
+    Serve.Client.closed_loop load [| conn |] ~count:20
+  in
+  let mutant = run ~rewrite:reverse () in
+  Alcotest.(check bool) "the mutant's replies are counted invalid" true
+    (mutant.Serve.Client.invalid > 0);
+  Alcotest.(check int) "every mutant reply was answered" 20 mutant.Serve.Client.answered;
+  let honest = run () in
+  Alcotest.(check int) "no honest reply is invalid" 0 honest.Serve.Client.invalid;
+  Alcotest.(check int) "every honest reply passes" 20 honest.Serve.Client.schedules
+
+let test_client_lost_stream () =
+  (* a listener that answers one frame and hangs up: the driver reports
+     one answered frame and the transport failure, not an error reply *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let path = temp_sock "client_lost" in
+  let listener = Serve.Scrape.listen (Unix.ADDR_UNIX path) in
+  let server =
+    Serve.Server.create { Serve.Server.default_config with jobs = 1 }
+  in
+  let peer =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept listener in
+        let ic = Unix.in_channel_of_descr fd
+        and oc = Unix.out_channel_of_descr fd in
+        (match Serve.Proto.read_incoming ic with
+        | Ok (Some frame) ->
+            Serve.Proto.write_response oc (Serve.Server.handle_incoming server frame)
+        | _ -> ());
+        Unix.close fd)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Domain.join peer;
+      Unix.close listener;
+      Serve.Server.shutdown server;
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let load =
+    {
+      Serve.Client.instance = client_inst ();
+      permute = false;
+      seed = 1;
+      solver = None;
+      deadline_ms = None;
+    }
+  in
+  match Serve.Client.connect_all path 1 with
+  | Error msg -> Alcotest.fail msg
+  | Ok conns ->
+      let t = Serve.Client.closed_loop load conns ~count:3 in
+      Array.iter Serve.Scrape.close conns;
+      Alcotest.(check int) "one frame answered" 1 t.Serve.Client.answered;
+      Alcotest.(check int) "and it passed" 1 t.Serve.Client.schedules;
+      Alcotest.(check int) "no error reply" 0 t.Serve.Client.errors;
+      Alcotest.(check bool) "the transport failure is reported" true
+        (t.Serve.Client.failure <> None)
+
 let () =
   Alcotest.run "serve"
     [
@@ -3222,6 +3408,17 @@ let () =
             test_router_held_client;
           Alcotest.test_case "backend failure and re-dial" `Quick
             test_router_backend_failure;
+        ] );
+      ( "client",
+        [
+          Alcotest.test_case "check schedules" `Quick test_client_check_schedules;
+          Alcotest.test_case "error reply is not invalid" `Quick
+            test_client_error_is_not_invalid;
+          Alcotest.test_case "check session acks" `Quick test_client_check_acks;
+          Alcotest.test_case "mutant server is caught" `Quick
+            test_client_mutant_server;
+          Alcotest.test_case "lost stream after one reply" `Quick
+            test_client_lost_stream;
         ] );
       ( "session",
         [
