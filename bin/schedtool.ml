@@ -845,7 +845,8 @@ let loadgen_cmd =
     Arg.(value & opt int 1
          & info [ "connections" ] ~docv:"N"
              ~doc:"Hold $(docv) concurrent connections and round-robin \
-                   the requests across them (one-shot mode).")
+                   the requests (or, with $(b,--sessions), the sessions) \
+                   across them.")
   in
   let pipeline_arg =
     Arg.(value & flag
@@ -942,7 +943,7 @@ let loadgen_cmd =
                     Printf.printf "holding %d connection(s) open for %gs\n%!"
                       connections hold_seconds)
               else if sessions > 0 then
-                Serve.Client.sessions load conns.(0) ~sessions ~mutations
+                Serve.Client.sessions load conns ~sessions ~mutations
               else if pipeline then Serve.Client.pipelined load conns ~count
               else Serve.Client.closed_loop load conns ~count
             in

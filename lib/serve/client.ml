@@ -11,9 +11,11 @@ module P = Proto
 
 type expect = Schedule of I.t | Ack of { op : string; jobs : int }
 
-(* The wire prints makespans with %g (six significant digits), so the
-   recomputed makespan is rounded the same way before the relative 1e-6
-   comparison. *)
+(* The wire prints makespans with %g (six significant digits), so both
+   makespans are rounded the same way before the relative 1e-6
+   comparison: a reply read off the wire is already rounded (the
+   rounding is idempotent), and an in-process reply states the exact
+   value. *)
 let wire_rounded x = float_of_string (Printf.sprintf "%g" x)
 
 let close_enough a b =
@@ -30,7 +32,9 @@ let check_schedule inst (r : P.reply) =
         let recomputed = Core.Schedule.makespan s in
         if not (Core.Schedule.is_valid inst s) then
           Error "schedule is not valid for the instance"
-        else if not (close_enough (wire_rounded recomputed) r.P.makespan) then
+        else if
+          not (close_enough (wire_rounded recomputed) (wire_rounded r.P.makespan))
+        then
           Error
             (Printf.sprintf "reply makespan %g, recomputed %.17g" r.P.makespan
                recomputed)
@@ -253,13 +257,14 @@ let hold_open conns ~seconds ~on_hold =
    with Sys_error msg -> lost t msg);
   t
 
-let sessions load conn ~sessions ~mutations =
+let sessions load conns ~sessions ~mutations =
   let t = tally () in
   let rng = Workloads.Rng.create load.seed in
   let s = ref 1 in
   while !s <= sessions && t.failure = None do
     let base = relabel load rng in
     let sid = Printf.sprintf "lg%d-%d" load.seed !s in
+    let conn = conns.((!s - 1) mod Array.length conns) in
     (Obs.Sink.with_ctx sid @@ fun () ->
      Obs.Span.phase ~detail:("sid=" ^ sid) "loadgen.session" @@ fun () ->
      (* every frame of the lifecycle carries the session id as its trace

@@ -22,7 +22,8 @@
       session its copy renumbered through [Instance.append_jobs] and
       [Instance.induced];
     - its makespan must equal the recomputed one within a relative 1e-6
-      after [%g] rounding (the wire prints makespans with [%g]);
+      after both are rounded with [%g] (the wire prints makespans with
+      [%g], and an in-process reply states the exact value);
     - a session acknowledgement must name the op and job count sent;
     - any other reply does not match its frame.
 
@@ -139,8 +140,9 @@ val hold_open :
     [on_hold], then keep them parked for [seconds]. The caller closes
     them. *)
 
-val sessions : load -> Scrape.conn -> sessions:int -> mutations:int -> tally
-(** [sessions] lifecycles [lg<seed>-<s>], each in a [loadgen.session]
+val sessions : load -> Scrape.conn array -> sessions:int -> mutations:int -> tally
+(** [sessions] lifecycles [lg<seed>-<s>], session [s] (from 1) on
+    connection [(s - 1) mod N], each in a [loadgen.session]
     span: create, resolve, then [mutations] alternating mutations (odd
     ones add a clone of a random job, even ones drop the last job), each
     followed by a resolve, then close. The client keeps its own copy of

@@ -1,9 +1,9 @@
 (* Readiness-driven multiplexed transport: one event loop owns every
    socket (listeners and connections, all non-blocking), feeds received
-   bytes to Proto.Incremental, and queues parsed requests through a
-   bounded admission queue onto the service's pool — a server's or a
-   shard router's (Server.service). Replies come back through a
-   completion queue + wake pipe and are written in arrival order per
+   bytes to Proto.Incremental, and submits each admitted request to the
+   service's pool — a server's or a shard router's (Server.service) —
+   whose queue is the bounded admission queue. Replies come back through
+   a completion queue + wake pipe and are written in arrival order per
    connection (pipelining-safe). The loop itself never blocks on a peer:
    a slow client only fills its own output buffer. *)
 
@@ -42,12 +42,12 @@ type conn = {
   mutable closed : bool;
 }
 
-(* One admitted request waiting for a pool slot; [wenq_us] dates the
-   wait so dispatch can charge queue time against the request's own
-   deadline, and [wpressure] is the health verdict taken at admission,
-   which the worker's dispatch uses instead of reading health again:
-   otherwise the frames queued behind this one, filling the mux.queue
-   meter, would shed the frame the mux admitted. *)
+(* One admitted request on its way through the pool; [wenq_us] dates
+   the admission so the worker that starts it can charge the wait
+   against the request's own deadline, and [wpressure] is the health
+   verdict taken at admission, which the worker's dispatch uses instead
+   of reading health again: otherwise the frames queued behind this one,
+   filling the mux.queue meter, would shed the frame the mux admitted. *)
 type work = {
   wconn : conn;
   wslot : Proto.response option ref;
@@ -77,10 +77,9 @@ type t = {
   mutable listeners : (Unix.file_descr * string option) list;
       (* fd, unix path to unlink on exit *)
   conns : (Unix.file_descr, conn) Hashtbl.t;
-  pending : work Queue.t;
-  mutable inflight : int;
-  max_inflight : int;  (* pool workers available beyond the loop's domain *)
-  completed : (work * Proto.response) Queue.t;
+  mutable inflight : int;  (* submitted to the pool, not yet drained back *)
+  workers : int;  (* pool workers beyond the loop's domain *)
+  completed : (work * Proto.response option) Queue.t;
   completed_mutex : Mutex.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
@@ -123,9 +122,8 @@ let of_service ?(config = default_config) (svc : Server.service) =
       config;
       listeners = [];
       conns = Hashtbl.create 64;
-      pending = Queue.create ();
       inflight = 0;
-      max_inflight = max 0 (Parallel.Pool.size svc.pool - 1);
+      workers = max 0 (Parallel.Pool.size svc.pool - 1);
       completed = Queue.create ();
       completed_mutex = Mutex.create ();
       wake_r;
@@ -226,8 +224,13 @@ let pump t conn =
 
 (* --- admission + dispatch ---------------------------------------------- *)
 
+(* The admission backlog as the loop counts it: frames submitted and
+   not yet drained back, less one per worker. It never runs below the
+   truth, and admission decides against the same count in every run. *)
+let backlog t = max 0 (t.inflight - t.workers)
+
 let set_queue_depth t =
-  let d = float_of_int (Queue.length t.pending) in
+  let d = float_of_int (backlog t) in
   Obs.Gauge.set t.m.g_queue_depth d;
   Obs.Gauge.set_max t.m.g_queue_peak d
 
@@ -249,61 +252,40 @@ let record_admission t outcome =
     | Shed_pressure -> t.m.adm_shed_pressure
     | Shed_deadline -> t.m.adm_shed_deadline)
 
-(* Run one admitted request. On a multi-domain pool the work goes to a
-   worker and the reply returns through the completion queue; a
-   single-domain pool would run the task inline on [submit] anyway, so
-   skip the queue and fill the slot directly. *)
-let dispatch t (work : work) =
-  let now = Obs.Sink.now_us () in
-  Obs.Histogram.observe t.m.h_queue_wait_us (now -. work.wenq_us);
-  (* deadline-aware: budget spent waiting in the admission queue is
-     subtracted from the request's own deadline; a request that
-     out-waited its deadline is shed rather than solved late *)
-  let incoming =
-    match work.wincoming with
-    | Proto.Solve ({ deadline_ms = Some d; _ } as req) ->
-        let remaining = d -. ((now -. work.wenq_us) /. 1000.) in
-        if remaining <= 0.0 then None
-        else Some (Proto.Solve { req with Proto.deadline_ms = Some remaining })
-    | other -> Some other
-  in
-  match incoming with
-  | None ->
-      record_admission t Shed_deadline;
-      work.wslot := Some (t.svc.shed work.wincoming);
-      pump t work.wconn
-  | Some incoming ->
-      let pressure = work.wpressure in
-      if t.max_inflight = 0 then begin
-        work.wslot := Some (t.svc.run ~pressure incoming);
-        pump t work.wconn
-      end
-      else begin
-        t.inflight <- t.inflight + 1;
-        Parallel.Pool.submit t.svc.pool (fun () ->
-            let response =
-              try t.svc.run ~pressure incoming
-              with exn ->
-                Proto.Error
-                  (Printf.sprintf "internal error: %s" (Printexc.to_string exn))
-            in
-            Mutex.lock t.completed_mutex;
-            Queue.push (work, response) t.completed;
-            Mutex.unlock t.completed_mutex;
-            wake t)
-      end
+(* Answer an admitted request where it starts: on a worker, or on the
+   loop of a one-domain pool. Its deadline counts from admission, and a
+   request that out-waited it is shed rather than solved late. [None]:
+   its connection closed first, so it is dropped unsolved (a read that
+   misses the loop's close only costs a solve whose reply is dropped). *)
+let answer t (work : work) =
+  if work.wconn.closed then None
+  else begin
+    let waited_us = Obs.Sink.now_us () -. work.wenq_us in
+    Obs.Histogram.observe t.m.h_queue_wait_us waited_us;
+    let run = t.svc.run ~pressure:work.wpressure in
+    Some
+      (try
+         match work.wincoming with
+         | Proto.Solve ({ deadline_ms = Some d; _ } as req) ->
+             let remaining = d -. (waited_us /. 1000.) in
+             if remaining > 0.0 then
+               run (Proto.Solve { req with Proto.deadline_ms = Some remaining })
+             else begin
+               record_admission t Shed_deadline;
+               t.svc.shed work.wincoming
+             end
+         | incoming -> run incoming
+       with exn ->
+         Proto.Error
+           (Printf.sprintf "internal error: %s" (Printexc.to_string exn)))
+  end
 
-let dispatch_pending t =
-  let budget () = t.max_inflight = 0 || t.inflight < t.max_inflight in
-  while (not (Queue.is_empty t.pending)) && budget () do
-    let work = Queue.pop t.pending in
-    set_queue_depth t;
-    if not work.wconn.closed then dispatch t work
-  done
-
-(* Admission control for a pooled frame whose slot is in line. *)
+(* Admission control for a pooled frame whose slot is in line. An
+   admitted frame goes straight to the pool, whose queue is the
+   admission queue, and its reply returns through the completion queue;
+   a one-domain pool runs it on the loop at once. *)
 let admit_pooled t conn slot incoming =
-  let depth = Queue.length t.pending in
+  let depth = backlog t in
   let status = Obs.Health.status () in
   let cap = capacity t status in
   if depth >= cap then begin
@@ -315,13 +297,25 @@ let admit_pooled t conn slot incoming =
   end
   else begin
     record_admission t Admitted;
-    Queue.push
+    let work =
       { wconn = conn; wslot = slot; wincoming = incoming;
         wenq_us = Obs.Sink.now_us ();
         wpressure = status <> Obs.Health.Ok }
-      t.pending;
-    set_queue_depth t;
-    dispatch_pending t
+    in
+    if t.workers = 0 then begin
+      slot := answer t work;
+      pump t conn
+    end
+    else begin
+      t.inflight <- t.inflight + 1;
+      set_queue_depth t;
+      Parallel.Pool.submit t.svc.pool (fun () ->
+          let response = answer t work in
+          Mutex.lock t.completed_mutex;
+          Queue.push (work, response) t.completed;
+          Mutex.unlock t.completed_mutex;
+          wake t)
+    end
   end
 
 (* Admit held session frames until one stays queued or running; a shed
@@ -461,12 +455,13 @@ let drain_completed t =
     (fun ((work : work), response) ->
       t.inflight <- t.inflight - 1;
       Obs.Counter.incr t.m.c_wakeups;
-      work.wslot := Some response;
+      work.wslot := response;
       (match work.wincoming with
       | Proto.Session _ -> admit_held t work.wconn
       | _ -> ());
       if not work.wconn.closed then pump t work.wconn)
-    batch
+    batch;
+  set_queue_depth t
 
 (* --- the loop ----------------------------------------------------------- *)
 
@@ -512,7 +507,6 @@ let run t =
                 | None -> ())
             ready_r;
           drain_completed t;
-          dispatch_pending t;
           List.iter
             (fun fd ->
               match Hashtbl.find_opt t.conns fd with

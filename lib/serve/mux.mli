@@ -14,24 +14,28 @@
 
     Admission control: frames the loop does not answer itself (a
     server's solve, session and profile frames; every frame a router
-    forwards) enter a bounded pending queue drained onto the service's
-    {!Parallel.Pool}, at most [pool size - 1] in flight (on a
-    one-domain pool they run on the loop itself), so with more than
-    two domains the pipelined frames of one connection may run
-    concurrently; session frames of one connection run one at a time,
-    in arrival order. The frames the service's [inline] answers are
-    answered on the loop: a server's stats, events, health and explain
-    frames, a router's stats, events and health frames. The queue bound tightens
-    with the {!Obs.Health} status lattice — full capacity when [Ok], half when
-    [Degraded], zero when [Unhealthy] — and an over-capacity frame is
-    {e shed}: the service's [shed] reply answers it on the loop (a
-    server's runs the same dispatch path with a zero deadline, i.e. the
-    near-linear fast path and a [degraded] reply, or the cached result;
-    a router's is an [overloaded] error). Requests that out-wait their
-    own deadline in the queue are shed the same way at dispatch time;
-    the rest run with the deadline they have left. An admitted request
-    keeps the health verdict taken at its admission for its own
-    dispatch, so frames queued behind it cannot shed it.
+    forwards) are submitted at admission to the service's
+    {!Parallel.Pool}, whose queue is the admission queue, so a worker
+    goes from one frame to the next without waiting for the loop (on a
+    one-domain pool they run on the loop itself). The loop counts the
+    backlog as the frames in flight less the pool's [size - 1] workers.
+    With more than two domains the pipelined frames of one connection
+    may run concurrently; session frames of one connection run one at
+    a time, in arrival order. The frames the service's [inline] answers
+    are answered on the loop: a server's stats, events, health and
+    explain frames, a router's stats, events and health frames. The
+    backlog bound tightens with the {!Obs.Health} status lattice — full
+    capacity when [Ok], half when [Degraded], zero when [Unhealthy] —
+    and an over-capacity frame is {e shed}: the service's [shed] reply
+    answers it on the loop (a server's runs the same dispatch path with
+    a zero deadline, i.e. the near-linear fast path and a [degraded]
+    reply, or the cached result; a router's is an [overloaded] error).
+    A request's deadline counts from its admission: the worker that
+    starts it sheds it the same way if the wait spent the budget, and
+    otherwise runs it with the deadline it has left. A frame whose
+    connection closed before a worker reached it is dropped unsolved.
+    An admitted request keeps the health verdict taken at its admission
+    for its own dispatch, so frames queued behind it cannot shed it.
 
     Observability (created per-mux, so non-mux processes do not carry
     the series): counters [serve.mux.accepted] / [serve.mux.closed] /
@@ -39,14 +43,15 @@
     [serve.mux.admission{outcome=admitted|shed_queue_full|shed_pressure
     |shed_deadline}]; gauges [serve.mux.connections] /
     [serve.mux.queue_depth] / [serve.mux.queue_peak] (high-water mark);
-    the [serve.mux.queue_wait_us] histogram; a [mux.queue] health meter
-    (queue fill); and a [mux-admission] availability SLO (99%
-    admitted). *)
+    the [serve.mux.queue_wait_us] histogram (admission to worker start,
+    which the pool's [pool.queue_wait_latency_us] measures too); a
+    [mux.queue] health meter (backlog fill); and a [mux-admission]
+    availability SLO (99% admitted). *)
 
 type config = {
   max_pending : int;
-      (** pending-queue bound at full health (default 64); halved when
-          degraded, zero when unhealthy *)
+      (** admission-backlog bound at full health (default 64); halved
+          when degraded, zero when unhealthy *)
   max_connections : int;
       (** accepted-socket cap (default 1008 — [Unix.select] limits
           descriptor values to [FD_SETSIZE], 1024 on Linux); further

@@ -103,7 +103,7 @@
     liveness ok
     task_budget_s 30
     uptime_s 12.4
-    meter name=pool.queue fill=0.000
+    meter name=cache fill=0.000
     slo name=availability window=5m target=0.9900 ... burn=0.00
     heartbeat domain=0 state=waiting task=pool.task req=- ...
     end

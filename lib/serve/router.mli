@@ -27,8 +27,9 @@
     [status error] reply reading [backend <target>: <reason>] and that
     connection is closed; the next frame for the backend takes another
     idle connection or dials again.
-    A frame the mux sheds is answered on the loop with an [overloaded]
-    error and never reaches a backend.
+    A frame the mux sheds is answered with an [overloaded] error and
+    never reaches a backend: on the loop when it is shed at admission,
+    on a worker when its deadline ran out before a worker started it.
 
     Metrics (created per-{!create}): the labeled family
     [serve.router.forwarded{backend="<index>"}] and the

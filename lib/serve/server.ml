@@ -168,19 +168,14 @@ let dump_stuck t (st : Obs.Health.stuck) =
 
 (* Saturation meters and SLO objectives for this server process. Meters
    read process-global state (registration replaces by name, so the
-   latest server wins — a process runs one). *)
-let g_pool_queue_depth = Obs.Gauge.make "pool.queue_depth"
-let g_pool_capacity = Obs.Gauge.make "pool.capacity"
+   latest server wins — a process runs one). The pool's queue has no
+   meter of its own: on a socket server it holds the mux's admission
+   backlog, which the mux.queue meter measures against its own bound. *)
 let g_heap_words = Obs.Gauge.make "gc.heap_words"
 
 let register_health t =
   Obs.Health.set_task_budget_s t.config.task_budget_s;
   Obs.Health.set_stuck_hook (Some (dump_stuck t));
-  (* queue fill relative to an 8x-capacity backlog: a short burst beyond
-     the pool size is normal, a deep standing queue is saturation *)
-  Obs.Health.register_meter "pool.queue" (fun () ->
-      let cap = Float.max 1.0 (Obs.Gauge.value g_pool_capacity) in
-      Obs.Gauge.value g_pool_queue_depth /. (8.0 *. cap));
   (* a full LRU is steady-state, not an incident: display-only *)
   Obs.Health.register_meter ~degraded_at:infinity ~unhealthy_at:infinity
     "cache" (fun () ->

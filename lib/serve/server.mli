@@ -35,7 +35,9 @@
     events.
 
     Health & SLO: {!create} registers this server's saturation meters
-    (pool queue fill, cache fill, heap footprint) and SLO objectives
+    (cache fill, heap footprint, session-table fill; the pool's queue
+    holds a socket server's admission backlog, which {!Mux}'s
+    [mux.queue] meter measures) and SLO objectives
     (99% availability over [serve.requests], 99% of requests under the
     default deadline) with {!Obs.Health} / {!Obs.Slo}, points the
     watchdog's stuck-task hook at the same rate-bounded dump channel
@@ -75,7 +77,8 @@ type config = {
       (** budget applied when a request names none (default: none) *)
   jobs : int;
       (** pool domains; {!Mux} runs up to [jobs - 1] solver-bound frames
-          at once next to its loop (with 1, on the loop itself) *)
+          at once next to its loop (with 1, on the loop itself), and the
+          pool's queue holds its admission backlog *)
   slow_ms : float option;
       (** latency threshold for a slow-request dump; [None] (default)
           disables the slow trigger (non-ok responses still dump when
@@ -148,7 +151,9 @@ val process_admin : created_us:float -> Proto.incoming -> Proto.response option
 (** What {!Mux} serves: a server's ({!service}) or a shard router's
     ({!Router.service}). *)
 type service = {
-  pool : Parallel.Pool.t;  (** runs the frames the mux queues *)
+  pool : Parallel.Pool.t;
+      (** runs the frames the mux admits; its queue is the mux's
+          admission queue *)
   run : pressure:bool -> Proto.incoming -> Proto.response;
       (** answer one frame under the admission-time health verdict *)
   inline : Proto.incoming -> Proto.response option;
@@ -156,7 +161,9 @@ type service = {
           that read registries in microseconds — or [None] to queue it
           for {!run} *)
   shed : Proto.incoming -> Proto.response;
-      (** the reply, computed on the loop, to a shed frame *)
+      (** the reply to a shed frame: computed on the loop for a frame
+          shed at admission, on the worker for one whose deadline ran
+          out before a worker started it *)
 }
 
 val service : t -> service

@@ -1155,11 +1155,11 @@ let test_server_health_frame () =
               Alcotest.(check bool) "liveness ok" true
                 (List.mem "liveness ok" lines);
               Alcotest.(check int) "uptime line" 1 (count "uptime_s ");
-              (* pool.queue, cache and gc.heap meters from create *)
+              (* cache, gc.heap and sessions meters from create *)
               Alcotest.(check bool) "cache meter" true
                 (List.exists (starts "meter name=cache ") lines);
-              Alcotest.(check bool) "pool meter" true
-                (List.exists (starts "meter name=pool.queue ") lines);
+              Alcotest.(check bool) "gc.heap meter" true
+                (List.exists (starts "meter name=gc.heap ") lines);
               (* availability + latency objectives x 5m/1h windows *)
               Alcotest.(check int) "slo lines" 4 (count "slo name=");
               (* the session domain itself heartbeats, so >= 1 slot *)
@@ -2683,7 +2683,8 @@ let wait_until what cond =
 
 (* A mux on loopback over a pool with one worker, parked before [f] runs,
    so every frame [f] pipelines is admitted or shed before any solve can
-   finish. [f] gets the port and the function that releases the worker. *)
+   finish. [f] gets a connection's input and output channels and the
+   function that releases the worker. *)
 let with_parked_mux ~max_pending f =
   let server =
     Serve.Server.create
@@ -2712,59 +2713,115 @@ let with_parked_mux ~max_pending f =
         Unix.sleepf 0.001
       done);
   wait_until "the worker to park" (fun () -> Atomic.get parked);
-  f port (fun () -> Atomic.set release true)
-
-let test_mux_sheds_under_overload () =
-  (* one pool worker, a queue of 2. The worker is parked before the
-     burst, so the loop admits and sheds all 7 pipelined frames before
-     any solve can finish: 1 admitted and dispatched, 2 admitted and
-     queued, 4 shed with degraded replies. Released, the worker solves
-     the first frame and the queued two hit the cache it filled. Every
-     frame gets exactly one in-order answer. *)
-  with_parked_mux ~max_pending:2 @@ fun port release ->
-  let admission = Obs.Labeled.family "serve.mux.admission" ~label:"outcome" in
-  let outcome name = Obs.Labeled.value (Obs.Labeled.cell admission name) in
-  let outcomes = [ "admitted"; "shed_queue_full"; "shed_pressure"; "shed_deadline" ] in
-  let ledger () = List.fold_left (fun acc o -> acc + outcome o) 0 outcomes in
-  let before = List.map (fun o -> (o, outcome o)) outcomes in
-  let moved o = outcome o - List.assoc o before in
-  let ledger0 = ledger () in
-  let inst = Workloads.Gen.uniform (rng 53) ~n:12 ~m:4 ~k:3 () in
   let fd, ic, oc = mux_connect port in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let n = 7 in
+  @@ fun () -> f ic oc (fun () -> Atomic.set release true)
+
+(* How far each mux admission outcome has moved since this call. *)
+let admission_ledger () =
+  let admission = Obs.Labeled.family "serve.mux.admission" ~label:"outcome" in
+  let outcome name = Obs.Labeled.value (Obs.Labeled.cell admission name) in
+  let before =
+    List.map
+      (fun o -> (o, outcome o))
+      [ "admitted"; "shed_queue_full"; "shed_pressure"; "shed_deadline" ]
+  in
+  fun o -> outcome o - List.assoc o before
+
+(* Pipeline [n] exact solves of [inst] with trace ids [<tag>.1] …
+   [<tag>.n] and a health frame behind them. The loop answers the
+   health frame inline only after it has admitted every solve before it
+   and answered every shed one, so [release] runs once every admission
+   decision is made. Then the replies are read in order: the numbers of
+   degraded and of full solve replies. *)
+let pipeline_solves ?deadline_ms oc ic ~tag ~release inst n =
+  let checks0 = counter "health.checks" in
   for i = 1 to n do
     Serve.Proto.write_request oc
       {
         Serve.Proto.solver = Some "exact";
-        deadline_ms = None;
+        deadline_ms;
         instance = inst;
-        trace = Some { Serve.Proto.tid = Printf.sprintf "ov.%d" i; parent = None };
+        trace = Some { Serve.Proto.tid = Printf.sprintf "%s.%d" tag i; parent = None };
       }
   done;
-  wait_until "the loop to admit or shed every frame" (fun () ->
-      ledger () - ledger0 >= n);
+  Serve.Proto.write_incoming oc Serve.Proto.Health;
+  wait_until "the loop to read every frame" (fun () ->
+      counter "health.checks" > checks0);
   release ();
   let degraded = ref 0 and served = ref 0 in
   for i = 1 to n do
     match Serve.Proto.read_response ic with
     | Ok (Some (Serve.Proto.Reply r)) ->
         Alcotest.(check (option string)) "in order"
-          (Some (Printf.sprintf "ov.%d" i))
+          (Some (Printf.sprintf "%s.%d" tag i))
           r.Serve.Proto.trace;
         if r.Serve.Proto.degraded then incr degraded else incr served
     | Ok (Some (Serve.Proto.Error msg)) -> Alcotest.fail msg
     | _ -> Alcotest.fail "expected a solve reply"
   done;
-  Alcotest.(check int) "every frame answered" n (!degraded + !served);
-  Alcotest.(check int) "admitted: one dispatched, two queued" 3
+  (match Serve.Proto.read_response ic with
+  | Ok (Some (Serve.Proto.Health_reply _)) -> ()
+  | _ -> Alcotest.fail "expected the health reply last");
+  (!degraded, !served)
+
+let test_mux_sheds_under_overload () =
+  (* one pool worker, a queue of 2. The worker is parked before the
+     burst, so the loop admits and sheds all 7 pipelined frames before
+     any solve can finish: 3 admitted (one for the worker, two
+     queued behind it), 4 shed with degraded replies. Released, the
+     worker solves the first frame and the queued two hit the cache it
+     filled. Every frame gets exactly one in-order answer. *)
+  with_parked_mux ~max_pending:2 @@ fun ic oc release ->
+  let moved = admission_ledger () in
+  let inst = Workloads.Gen.uniform (rng 53) ~n:12 ~m:4 ~k:3 () in
+  let n = 7 in
+  let degraded, served = pipeline_solves oc ic ~tag:"ov" ~release inst n in
+  Alcotest.(check int) "every frame answered" n (degraded + served);
+  Alcotest.(check int) "admitted: one for the worker, two queued" 3
     (moved "admitted");
   Alcotest.(check int) "shed: the queue was full" 4 (moved "shed_queue_full");
   Alcotest.(check int) "no other shed" 0
     (moved "shed_pressure" + moved "shed_deadline");
-  Alcotest.(check int) "overload sheds degraded replies" 4 !degraded;
-  Alcotest.(check int) "admitted frames get full answers" 3 !served
+  Alcotest.(check int) "overload sheds degraded replies" 4 degraded;
+  Alcotest.(check int) "admitted frames get full answers" 3 served
+
+let test_mux_deadline_from_admission () =
+  (* one pool worker, parked: three admitted solves with a 20 ms budget
+     wait 60 ms in the pool's queue. A frame's budget counts from its
+     admission to the start of its worker, so the worker sheds each one
+     it reaches, the first included, and every reply is degraded *)
+  with_parked_mux ~max_pending:4 @@ fun ic oc release ->
+  let moved = admission_ledger () in
+  let inst = Workloads.Gen.uniform (rng 61) ~n:12 ~m:4 ~k:3 () in
+  let n = 3 in
+  let degraded, _ =
+    pipeline_solves ~deadline_ms:20.0 oc ic ~tag:"dl" inst n ~release:(fun () ->
+        Unix.sleepf 0.06;
+        release ())
+  in
+  Alcotest.(check int) "every frame admitted" n (moved "admitted");
+  Alcotest.(check int) "every frame out-waited its deadline" n
+    (moved "shed_deadline");
+  Alcotest.(check int) "every reply degraded" n degraded
+
+let test_mux_admission_bound () =
+  (* one pool worker, parked, and a queue of 32: the pool's queue holds
+     the backlog, and the mux alone bounds it. The first frame waits
+     for the worker and 26 queue behind it; at 26 of 32 the mux.queue
+     meter degrades the process, admission halves to 16, and the last 6
+     frames are shed under pressure before the queue is full *)
+  with_parked_mux ~max_pending:32 @@ fun ic oc release ->
+  let moved = admission_ledger () in
+  let inst = Workloads.Gen.uniform (rng 67) ~n:12 ~m:4 ~k:3 () in
+  let n = 33 in
+  let degraded, served = pipeline_solves oc ic ~tag:"ab" ~release inst n in
+  Alcotest.(check int) "admitted" 27 (moved "admitted");
+  Alcotest.(check int) "shed under pressure" 6 (moved "shed_pressure");
+  Alcotest.(check int) "never shed for a full queue" 0 (moved "shed_queue_full");
+  Alcotest.(check int) "no deadline shed" 0 (moved "shed_deadline");
+  Alcotest.(check int) "shed frames get degraded replies" 6 degraded;
+  Alcotest.(check int) "admitted frames get full answers" 27 served
 
 let test_mux_session_order () =
   (* one pool worker, a queue of 1, the worker parked: a session
@@ -2772,13 +2829,10 @@ let test_mux_session_order () =
      order. Unordered, create waits for the worker, add-jobs fills the
      queue and the first resolve is shed inline on the loop — ahead of
      the create it depends on. *)
-  with_parked_mux ~max_pending:1 @@ fun port release ->
+  with_parked_mux ~max_pending:1 @@ fun ic oc release ->
   let checks0 = counter "health.checks" in
   let m = 3 in
   let inst = Workloads.Gen.uniform (rng 59) ~n:8 ~m ~k:2 () in
-  let fd, ic, oc = mux_connect port in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
   let job = { Core.Instance.nsize = 3.0; nclass = 0; nptimes = None; neligible = None } in
   let resolve = Serve.Proto.S_resolve { deadline_ms = None } in
   List.iter
@@ -3142,6 +3196,12 @@ let test_client_check_schedules () =
     (check_on inst (reply_of ~makespan a));
   Alcotest.(check bool) "a makespan off by more than rounding fails" false
     (check_on inst (reply_of ~makespan:(makespan *. (1.0 +. 1e-4)) a));
+  (* an in-process reply states the exact makespan; both sides are
+     rounded before the comparison *)
+  Alcotest.(check bool) "a valid reply stating the exact makespan passes" true
+    (check_on inst (reply_of ~makespan:exact a));
+  Alcotest.(check bool) "an exact makespan off by more than rounding fails" false
+    (check_on inst (reply_of ~makespan:(exact *. (1.0 +. 1e-4)) a));
   (* the schedule of one labeling read under another: what a server
      that skips the map-back to the requester's labeling sends *)
   let relabeled = Serve.Canon.shuffle (rng 6) inst in
@@ -3246,11 +3306,11 @@ let test_client_mutant_server () =
   Alcotest.(check int) "no honest reply is invalid" 0 honest.Serve.Client.invalid;
   Alcotest.(check int) "every honest reply passes" 20 honest.Serve.Client.schedules
 
-let test_client_lost_stream () =
-  (* a listener that answers one frame and hangs up: the driver reports
-     one answered frame and the transport failure, not an error reply *)
+(* A Unix-socket listener that answers one frame and hangs up; [f] gets
+   its path and must connect to it once. *)
+let with_one_reply_peer name f =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let path = temp_sock "client_lost" in
+  let path = temp_sock name in
   let listener = Serve.Scrape.listen (Unix.ADDR_UNIX path) in
   let server =
     Serve.Server.create { Serve.Server.default_config with jobs = 1 }
@@ -3272,16 +3332,22 @@ let test_client_lost_stream () =
       Unix.close listener;
       Serve.Server.shutdown server;
       try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  let load =
-    {
-      Serve.Client.instance = client_inst ();
-      permute = false;
-      seed = 1;
-      solver = None;
-      deadline_ms = None;
-    }
-  in
+  @@ fun () -> f path
+
+let plain_load () =
+  {
+    Serve.Client.instance = client_inst ();
+    permute = false;
+    seed = 1;
+    solver = None;
+    deadline_ms = None;
+  }
+
+let test_client_lost_stream () =
+  (* a listener that answers one frame and hangs up: the driver reports
+     one answered frame and the transport failure, not an error reply *)
+  with_one_reply_peer "client_lost" @@ fun path ->
+  let load = plain_load () in
   match Serve.Client.connect_all path 1 with
   | Error msg -> Alcotest.fail msg
   | Ok conns ->
@@ -3291,6 +3357,31 @@ let test_client_lost_stream () =
       Alcotest.(check int) "and it passed" 1 t.Serve.Client.schedules;
       Alcotest.(check int) "no error reply" 0 t.Serve.Client.errors;
       Alcotest.(check bool) "the transport failure is reported" true
+        (t.Serve.Client.failure <> None)
+
+let test_client_sessions_use_every_connection () =
+  (* two sessions over two connections, one live and one to a peer that
+     answers a single frame: session s runs on connection (s - 1) mod 2,
+     so the first completes its lifecycle and the second loses its
+     stream after the create *)
+  with_one_reply_peer "client_sessions" @@ fun path ->
+  with_client_mux @@ fun live ->
+  match Serve.Scrape.connect path with
+  | Error msg -> Alcotest.fail msg
+  | Ok lost ->
+      Fun.protect ~finally:(fun () -> Serve.Scrape.close lost) @@ fun () ->
+      let t =
+        Serve.Client.sessions (plain_load ()) [| live; lost |] ~sessions:2
+          ~mutations:2
+      in
+      (* create, resolve, two mutations each resolved, close; then the
+         second session's create *)
+      Alcotest.(check int) "answered" 8 t.Serve.Client.answered;
+      Alcotest.(check int) "the live session's resolves passed" 3
+        t.Serve.Client.schedules;
+      Alcotest.(check (pair int int)) "no error or invalid reply" (0, 0)
+        (t.Serve.Client.errors, t.Serve.Client.invalid);
+      Alcotest.(check bool) "the lost stream is reported" true
         (t.Serve.Client.failure <> None)
 
 let () =
@@ -3393,6 +3484,10 @@ let () =
             test_mux_sheds_under_overload;
           Alcotest.test_case "pipelined session order" `Quick
             test_mux_session_order;
+          Alcotest.test_case "deadline counts from admission" `Quick
+            test_mux_deadline_from_admission;
+          Alcotest.test_case "admission bound is the mux's own" `Quick
+            test_mux_admission_bound;
         ] );
       ( "router",
         [
@@ -3419,6 +3514,8 @@ let () =
             test_client_mutant_server;
           Alcotest.test_case "lost stream after one reply" `Quick
             test_client_lost_stream;
+          Alcotest.test_case "sessions use every connection" `Quick
+            test_client_sessions_use_every_connection;
         ] );
       ( "session",
         [
