@@ -153,13 +153,13 @@ let obs_setup trace =
 
 let solve_cmd =
   let algo_arg =
+    let names f = String.concat ", " (List.concat_map f Algos.Catalog.all) in
     let doc =
-      "Algorithm: greedy, lpt, oblivious-lpt, ptas, rounding, ra2, cu3, portfolio, exact."
+      Printf.sprintf "Algorithm: %s, portfolio or exact (aliases: %s)."
+        (names (fun e -> [ e.Algos.Catalog.name ]))
+        (names (fun e -> e.Algos.Catalog.aliases))
     in
     Arg.(value & opt string "greedy" & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
-  in
-  let eps_arg =
-    Arg.(value & opt float 0.5 & info [ "eps" ] ~doc:"Accuracy for the PTAS.")
   in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Seed for randomized algorithms.")
@@ -174,7 +174,7 @@ let solve_cmd =
     Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE"
            ~doc:"Write the schedule to $(docv).")
   in
-  let run algo eps seed verbose gantt save trace stats path =
+  let run algo seed verbose gantt save trace stats path =
     match read_instance path with
     | Error msg -> `Error (false, msg)
     | Ok t -> (
@@ -182,15 +182,6 @@ let solve_cmd =
         let exact_outcome = ref None in
         let solve () =
           match algo with
-          | "greedy" -> Ok (Algos.List_scheduling.schedule t)
-          | "lpt" -> Ok (Algos.Lpt.schedule t)
-          | "oblivious-lpt" -> Ok (Algos.Lpt.setup_oblivious t)
-          | "ptas" -> Ok (Algos.Uniform_ptas.schedule ~eps t)
-          | "rounding" ->
-              Ok (fst (Algos.Randomized_rounding.schedule
-                         (Workloads.Rng.create seed) t))
-          | "ra2" -> Ok (Algos.Ra_class_uniform.schedule t)
-          | "cu3" -> Ok (Algos.Um_class_uniform.schedule t)
           | "portfolio" ->
               let report = Algos.Portfolio.run ~seed t in
               Printf.printf "winner: %s\n" report.Algos.Portfolio.winner;
@@ -204,7 +195,10 @@ let solve_cmd =
               if not outcome.Algos.Exact.optimal then
                 Printf.eprintf "warning: node limit hit, result may be suboptimal\n";
               Ok outcome.Algos.Exact.result
-          | other -> Error (Printf.sprintf "unknown algorithm %S" other)
+          | name -> (
+              match Algos.Catalog.find name with
+              | Some e -> Ok (e.Algos.Catalog.run ~seed t)
+              | None -> Error (Printf.sprintf "unknown algorithm %S" name))
         in
         let outcome, secs =
           Obs.Span.timed "schedtool.solve" (fun () ->
@@ -239,7 +233,7 @@ let solve_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ algo_arg $ eps_arg $ seed_arg $ verbose_arg $ gantt_arg
+        (const run $ algo_arg $ seed_arg $ verbose_arg $ gantt_arg
        $ save_arg $ trace_arg $ stats_arg $ file_arg))
 
 (* --- verify ---------------------------------------------------------------- *)
@@ -293,33 +287,33 @@ let compare_cmd =
               string_of_int (Core.Schedule.num_setups r.Algos.Common.schedule);
             ]
         in
-        let attempt name f = try row name (f ()) with Invalid_argument _ -> () in
-        attempt "greedy" (fun () -> Algos.List_scheduling.schedule t);
-        attempt "lpt" (fun () -> Algos.Lpt.schedule t);
-        attempt "oblivious-lpt" (fun () -> Algos.Lpt.setup_oblivious t);
-        attempt "ptas eps=1/2" (fun () -> Algos.Uniform_ptas.schedule ~eps:0.5 t);
-        attempt "rounding" (fun () ->
-            fst (Algos.Randomized_rounding.schedule (Workloads.Rng.create seed) t));
-        attempt "ra2" (fun () -> Algos.Ra_class_uniform.schedule t);
-        attempt "cu3" (fun () -> Algos.Um_class_uniform.schedule t);
-        if exact then
-          attempt "exact" (fun () -> (Algos.Exact.solve t).Algos.Exact.result);
+        List.iter
+          (fun (e : Algos.Catalog.entry) ->
+            if e.applies t then row e.name (e.run ~seed t))
+          Algos.Catalog.all;
+        if exact && Algos.Catalog.all_jobs_eligible t then
+          row "exact" (Algos.Exact.solve t).Algos.Exact.result;
         Printf.printf "lower bound %g\n\n" (Core.Bounds.lower_bound t);
         Stats.Table.print table;
         `Ok ()
   in
   let info =
     Cmd.info "compare"
-      ~doc:"Run every applicable algorithm on an instance and compare."
+      ~doc:"Run every catalogue algorithm that applies to an instance and \
+            compare."
   in
   Cmd.v info Term.(ret (const run $ seed_arg $ exact_arg $ file_arg))
 
 (* --- experiments ----------------------------------------------------------- *)
 
 let experiments_cmd =
+  let ids =
+    String.concat ", "
+      (List.map (fun e -> e.Experiments.Exp_common.id) Experiments.Registry.all)
+  in
   let id_arg =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"ID"
-           ~doc:"Experiment id (E1..E8, A1..A4); omit to run all.")
+           ~doc:(Printf.sprintf "Experiment id (%s); omit to run all." ids))
   in
   let jobs_arg =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ]
@@ -353,7 +347,9 @@ let experiments_cmd =
               print_string (Stats.Table.to_csv (e.Experiments.Exp_common.run ()))
             else Experiments.Registry.run_one e;
             finish ~stats
-        | None -> `Error (false, Printf.sprintf "unknown experiment %S" id))
+        | None ->
+            `Error
+              (false, Printf.sprintf "unknown experiment %S (expected %s)" id ids))
   in
   let info = Cmd.info "experiments" ~doc:"Run the paper-reproduction experiments." in
   Cmd.v info
@@ -996,8 +992,8 @@ let fuzz_cmd =
   let algo_arg =
     Arg.(value & opt_all string []
          & info [ "algo"; "a" ] ~docv:"NAME"
-             ~doc:"Fuzz only this registered algorithm (repeatable; \
-                   default: all). See the registry names in DESIGN.md.")
+             ~doc:"Fuzz only this algorithm: a catalogue name or alias, \
+                   or portfolio (repeatable; default: all).")
   in
   let env_arg =
     Arg.(value & opt_all string []

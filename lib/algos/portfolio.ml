@@ -6,45 +6,25 @@ type report = {
 
 let h_candidate_us = Obs.Histogram.make "algos.portfolio.candidate_latency_us"
 
-let run ?(seed = 1) ?(eps = 0.5) ?(include_exact = false) instance =
-  for j = 0 to Core.Instance.num_jobs instance - 1 do
-    if Core.Instance.eligible_machines instance j = [] then
-      invalid_arg "Portfolio.run: job eligible nowhere"
-  done;
-  let candidates :
-      (string * (Core.Instance.t -> Common.result)) list =
-    [
-      ("greedy", fun t -> List_scheduling.schedule t);
-      ("greedy-longest", List_scheduling.schedule ~order:List_scheduling.Longest_first);
-      ("lpt-placeholders", Lpt.schedule);
-      ("batch-lpt", Batch_lpt.schedule);
-      ("ptas", fun t -> Uniform_ptas.schedule ~eps t);
-      ( "rounding",
-        fun t ->
-          fst (Randomized_rounding.schedule (Workloads.Rng.create seed) t) );
-      ("ra-2approx", fun t -> Ra_class_uniform.schedule t);
-      ("cu-3approx", fun t -> Um_class_uniform.schedule t);
-    ]
-    @
-    if include_exact then
-      [
-        ( "exact-budgeted",
-          fun t -> (Exact.solve ~node_limit:2_000_000 t).Exact.result );
-      ]
-    else []
-  in
+let members t =
+  List.filter (fun (e : Catalog.entry) -> e.portfolio && e.applies t) Catalog.all
+
+let factor t =
+  match List.filter_map (fun (e : Catalog.entry) -> e.factor) (members t) with
+  | [] -> None
+  | f :: fs -> Some (List.fold_left Float.min f fs)
+
+let run ?(seed = 1) instance =
+  if not (Catalog.all_jobs_eligible instance) then
+    invalid_arg "Portfolio.run: job eligible nowhere";
   let attempts =
-    List.filter_map
-      (fun (name, algo) ->
+    List.map
+      (fun (e : Catalog.entry) ->
         let t0 = Obs.Sink.now_us () in
-        let outcome =
-          match algo instance with
-          | r -> Some (name, r)
-          | exception Invalid_argument _ -> None
-        in
+        let r = e.run ~seed instance in
         Obs.Histogram.observe h_candidate_us (Obs.Sink.now_us () -. t0);
-        outcome)
-      candidates
+        (e.name, r))
+      (members instance)
   in
   match attempts with
   | [] -> assert false (* greedy applies to every environment *)

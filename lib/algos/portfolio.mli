@@ -1,13 +1,14 @@
-(** Best-of portfolio: run every algorithm that applies to the instance's
-    environment and keep the best schedule.
+(** Best-of portfolio: run every {!Catalog} entry marked [portfolio]
+    whose [applies] holds for the instance and keep the best schedule.
 
     The paper's algorithms have incomparable strengths — greedy wins on
     easy average cases, Lemma 2.1 under setup dominance, the LP roundings
     carry the guarantees — so the portfolio inherits the best guarantee
     among its members {e and} the best typical case, at the cost of
     running them all; the winner gets a final {!Local_search} polish
-    (which can only improve it). This is the entry point a downstream
-    user should reach for first. *)
+    (which can only improve it). Members run in catalogue order, and of
+    two equal makespans the earlier member wins. This is the entry point
+    a downstream user should reach for first. *)
 
 type report = {
   best : Common.result;
@@ -15,15 +16,12 @@ type report = {
   all : (string * float) list;  (** every attempted algorithm's makespan *)
 }
 
-val run :
-  ?seed:int ->
-  ?eps:float ->
-  ?include_exact:bool ->
-  Core.Instance.t ->
-  report
-(** [seed] feeds the randomized rounding (default 1); [eps] the PTAS
-    (default 0.5). [include_exact] (default false) adds branch and bound
-    with a modest node budget — the incumbent it returns is valid even
-    when optimality is not proven. Algorithms whose preconditions fail are
-    skipped silently. Raises [Invalid_argument] if some job is eligible
-    nowhere (no algorithm can help then). *)
+val run : ?seed:int -> Core.Instance.t -> report
+(** [seed] feeds the randomized rounding (default 1). Members whose
+    preconditions fail are skipped. Raises [Invalid_argument] if some job
+    is eligible nowhere (no algorithm can help then). *)
+
+val factor : Core.Instance.t -> float option
+(** The portfolio's proven factor on the instance: the smallest [factor]
+    among the members that apply, or [None] if none of them carries one.
+    The polish can only improve the winner. *)

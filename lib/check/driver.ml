@@ -301,9 +301,10 @@ let run ?registry config =
     match config.algo_filter with
     | [] -> base
     | names ->
-        let kept =
-          List.filter (fun a -> List.mem a.Props.name names) base
+        let wanted a =
+          List.exists (fun name -> Props.find ~name [ a ] <> None) names
         in
+        let kept = List.filter wanted base in
         if kept = [] then
           invalid_arg "Check.Driver.run: --algo matches no registered algorithm";
         kept

@@ -31,7 +31,8 @@ type config = {
   budget : budget;
   envs : env_kind list;
   algo_filter : string list;
-      (** restrict to these registry names; [[]] means all *)
+      (** restrict to these registry names or catalogue aliases; [[]]
+          means all *)
   shrink : bool;
   corpus_dir : string option;
       (** where minimal reproducers are written; [None] disables *)

@@ -1,6 +1,6 @@
 module I = Core.Instance
 
-type cost = Cheap | Heavy
+type cost = Algos.Catalog.cost = Cheap | Heavy
 
 type algo = {
   name : string;
@@ -11,144 +11,41 @@ type algo = {
   run : seed:int -> I.t -> Algos.Common.result;
 }
 
-let all_jobs_eligible instance =
-  let ok = ref true in
-  for j = 0 to I.num_jobs instance - 1 do
-    if I.eligible_machines instance j = [] then ok := false
-  done;
-  !ok
-
-let uniformish instance =
-  match instance.I.env with
-  | I.Identical | I.Uniform _ -> true
-  | I.Restricted _ | I.Unrelated _ -> false
-
-let ra_applies instance =
-  (match instance.I.env with
-  | I.Identical | I.Restricted _ -> true
-  | I.Uniform _ | I.Unrelated _ -> false)
-  && I.restrict_class_uniform instance
-
-(* Binary-search driven algorithms stop within [rel_tol] of the smallest
-   feasible guess, so their effective factor is the proven one times
-   (1 + rel_tol). The defaults below mirror the algorithms' own
-   defaults. *)
-let search_tol = 0.02
-let ptas_eps = 0.5
-
-let no_factor _ = None
-let const_factor f _ = Some f
+let of_entry (e : Algos.Catalog.entry) =
+  {
+    name = e.name;
+    applies = e.applies;
+    factor = (fun _ -> e.factor);
+    scale_equivariant = e.scale_equivariant;
+    cost = e.cost;
+    run = e.run;
+  }
 
 let registry () =
-  let greedy order name =
-    {
-      name;
-      applies = all_jobs_eligible;
-      factor = no_factor;
-      scale_equivariant = true;
-      cost = Cheap;
-      run = (fun ~seed:_ t -> Algos.List_scheduling.schedule ~order t);
-    }
-  in
-  [
-    greedy Algos.List_scheduling.Input "greedy";
-    greedy Algos.List_scheduling.Longest_first "greedy-longest";
-    greedy Algos.List_scheduling.By_class "greedy-by-class";
-    {
-      name = "lpt-placeholders";
-      applies = (fun t -> uniformish t);
-      factor = const_factor Algos.Lpt.approximation_factor;
-      scale_equivariant = true;
-      cost = Cheap;
-      run = (fun ~seed:_ t -> Algos.Lpt.schedule t);
-    };
-    {
-      name = "batch-lpt";
-      applies = (fun t -> uniformish t);
-      factor = no_factor;
-      scale_equivariant = true;
-      cost = Cheap;
-      run = (fun ~seed:_ t -> Algos.Batch_lpt.schedule t);
-    };
-    {
-      name = "ptas";
-      applies = (fun t -> uniformish t);
-      factor =
-        const_factor
-          (Algos.Uniform_ptas.guarantee ~eps:ptas_eps
-          *. (1.0 +. (ptas_eps /. 4.0)));
-      scale_equivariant = false;
-      cost = Heavy;
-      run = (fun ~seed:_ t -> Algos.Uniform_ptas.schedule ~eps:ptas_eps t);
-    };
-    {
-      name = "rounding";
-      applies = all_jobs_eligible;
-      (* O(log n + log m) with an unspecified constant: validity and the
-         sandwich are checked, the ratio is not *)
-      factor = no_factor;
-      scale_equivariant = false;
-      cost = Heavy;
-      run =
-        (fun ~seed t ->
-          fst (Algos.Randomized_rounding.schedule (Workloads.Rng.create seed) t));
-    };
-    {
-      name = "ra2";
-      applies = (fun t -> ra_applies t && all_jobs_eligible t);
-      factor = const_factor (Algos.Ra_class_uniform.guarantee *. (1.0 +. search_tol));
-      scale_equivariant = false;
-      cost = Heavy;
-      run = (fun ~seed:_ t -> Algos.Ra_class_uniform.schedule t);
-    };
-    {
-      name = "cu3";
-      applies = (fun t -> I.class_uniform_ptimes t && all_jobs_eligible t);
-      factor = const_factor (Algos.Um_class_uniform.guarantee *. (1.0 +. search_tol));
-      scale_equivariant = false;
-      cost = Heavy;
-      run = (fun ~seed:_ t -> Algos.Um_class_uniform.schedule t);
-    };
-    {
-      name = "portfolio";
-      applies = all_jobs_eligible;
-      (* best-of inherits the best applicable member guarantee, and the
-         local-search polish can only improve the winner *)
-      factor =
-        (fun t ->
-          let member_factors =
-            (if uniformish t then
-               [
-                 Algos.Lpt.approximation_factor;
-                 Algos.Uniform_ptas.guarantee ~eps:ptas_eps
-                 *. (1.0 +. (ptas_eps /. 4.0));
-               ]
-             else [])
-            @ (if ra_applies t then
-                 [ Algos.Ra_class_uniform.guarantee *. (1.0 +. search_tol) ]
-               else [])
-            @
-            if I.class_uniform_ptimes t then
-              [ Algos.Um_class_uniform.guarantee *. (1.0 +. search_tol) ]
-            else []
-          in
-          match member_factors with
-          | [] -> None
-          | fs -> Some (List.fold_left Float.min infinity fs));
-      scale_equivariant = false;
-      cost = Heavy;
-      run =
-        (fun ~seed t -> (Algos.Portfolio.run ~seed t).Algos.Portfolio.best);
-    };
-  ]
+  List.map of_entry Algos.Catalog.all
+  @ [
+      {
+        name = "portfolio";
+        applies = Algos.Catalog.all_jobs_eligible;
+        factor = Algos.Portfolio.factor;
+        scale_equivariant = false;
+        cost = Heavy;
+        run =
+          (fun ~seed t -> (Algos.Portfolio.run ~seed t).Algos.Portfolio.best);
+      };
+    ]
 
-let find ~name algos = List.find_opt (fun a -> a.name = name) algos
+let find ~name algos =
+  let name =
+    match Algos.Catalog.find name with Some e -> e.name | None -> name
+  in
+  List.find_opt (fun a -> a.name = name) algos
 
 let mutant =
   {
     name = "mutant-stack";
     applies = (fun _ -> true);
-    factor = const_factor 1.0;
+    factor = (fun _ -> Some 1.0);
     scale_equivariant = true;
     cost = Cheap;
     run =

@@ -2,13 +2,12 @@
     preconditions and its paper-proven guarantee, plus the invariants any
     run must satisfy.
 
-    The registry is the single place that knows, for each algorithm,
-    {e when} it applies ([applies] mirrors the [Invalid_argument]
-    preconditions), {e what} the paper promises ([factor], the proven
-    approximation ratio against [OPT], already inflated by the
-    algorithm's own binary-search tolerance where it has one), and how
-    expensive it is ([cost] — heavy LP/DP algorithms only run on small
-    fuzz cases).
+    The registry is {!Algos.Catalog.all} plus the portfolio. Each
+    entry's [applies], [factor] (the proven approximation ratio against
+    [OPT], already inflated by the algorithm's own binary-search
+    tolerance where it has one), scale-equivariance and [cost] come from
+    the catalogue; the portfolio's factor is {!Algos.Portfolio.factor},
+    the smallest among its members that apply.
 
     Invariants checked for every (algorithm, instance) pair:
     - [schedule-valid]: the returned schedule assigns every job to an
@@ -21,7 +20,7 @@
       [makespan <= f * opt] (within {!Violation.slack});
     - [no-crash]: an algorithm whose [applies] holds must not raise. *)
 
-type cost = Cheap | Heavy
+type cost = Algos.Catalog.cost = Cheap | Heavy
 
 type algo = {
   name : string;
@@ -39,19 +38,16 @@ type algo = {
 }
 
 val registry : unit -> algo list
-(** Every production algorithm: the three greedy orders, Lemma 2.1 LPT,
-    batch-LPT, the Section-2 PTAS, Theorem-3.3 randomized rounding, the
-    Theorem-3.10 2-approximation, the Theorem-3.11 3-approximation and
-    the portfolio. *)
+(** Every catalogue entry under its canonical name, in catalogue order,
+    then the portfolio. *)
 
 val find : name:string -> algo list -> algo option
+(** By name or by a catalogue alias ([ra2] finds [ra-2approx]). *)
 
 val mutant : algo
 (** A deliberately broken algorithm for testing the checker itself: it
     stacks every job on machine 0 (skipping eligibility) while claiming
     factor 1. Never part of {!registry}; tests pass it explicitly. *)
-
-val all_jobs_eligible : Core.Instance.t -> bool
 
 val check_result :
   oracle:Oracle.t ->

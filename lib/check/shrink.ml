@@ -32,7 +32,7 @@ let drop_machine instance i =
         ~setups:(Array.copy instance.I.setups)
         ~setup_matrix:(Option.map (fun s -> remove_idx s i) instance.I.setup_matrix)
     with
-    | twin -> if Props.all_jobs_eligible twin then Some twin else None
+    | twin -> if Algos.Catalog.all_jobs_eligible twin then Some twin else None
     | exception Invalid_argument _ -> None
 
 let merge_classes instance ~src ~dst =

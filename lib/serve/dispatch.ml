@@ -11,39 +11,20 @@ type outcome = {
 
 let solvers = [ "auto"; "greedy"; "lpt"; "portfolio"; "exact" ]
 
-(* Cheap near-linear heuristics; [By_class] list scheduling is the
-   strongest variant, the others occasionally win. Environment-restricted
-   candidates are skipped. *)
-let fast_candidates =
-  [
-    ("greedy", fun t -> Algos.List_scheduling.schedule t);
-    ( "greedy-by-class",
-      Algos.List_scheduling.schedule ~order:Algos.List_scheduling.By_class );
-    ("lpt", Algos.Lpt.schedule);
-    ("batch-lpt", Algos.Batch_lpt.schedule);
-  ]
-
-let best_of attempts =
-  match attempts with
-  | [] -> None
-  | first :: rest ->
-      Some
-        (List.fold_left
-           (fun ((_, (b : Algos.Common.result)) as acc)
-                ((_, (r : Algos.Common.result)) as cand) ->
-             if r.Algos.Common.makespan < b.Algos.Common.makespan then cand
-             else acc)
-           first rest)
-
-let run_applicable candidates t =
-  List.filter_map
-    (fun (name, algo) ->
-      match algo t with
-      | r -> Some (name, r)
-      | exception Invalid_argument _ -> None)
-    candidates
-
-let fast_path t = best_of (run_applicable fast_candidates t)
+(* The catalogue's near-linear tier, skipping entries whose
+   precondition fails; of equal makespans the earlier entry wins. *)
+let fast_path ~seed t =
+  List.fold_left
+    (fun best (e : Algos.Catalog.entry) ->
+      if not (e.fast && e.applies t) then best
+      else
+        let r = e.run ~seed t in
+        match best with
+        | Some (_, (b : Algos.Common.result))
+          when not (r.Algos.Common.makespan < b.Algos.Common.makespan) ->
+            best
+        | _ -> Some (e.name, r))
+    None Algos.Catalog.all
 
 (* Node budget for branch and bound under a wall-clock budget: a
    conservative nodes-per-millisecond estimate so a nearly-expired
@@ -112,19 +93,18 @@ let solve ?deadline_ms ?(hint = "auto") ?(seed = 1)
     in
     match hint with
     | "greedy" | "lpt" -> (
-        let only = List.filter (fun (n, _) -> n = hint) fast_candidates in
-        match run_applicable only t with
-        | [ (name, result) ] ->
-            decision ~hint ~solver:name ~heavy:false ~degraded:false
+        match Algos.Catalog.find hint with
+        | Some e when e.applies t ->
+            let result = e.run ~seed t in
+            decision ~hint ~solver:e.name ~heavy:false ~degraded:false
               ~remaining_ms:(remaining_ms ()) ();
-            Ok { result; solver = name; degraded = false }
+            Ok { result; solver = e.name; degraded = false }
         | _ ->
             Error
               (Printf.sprintf "solver %S does not apply to this instance" hint))
     | _ -> (
-        match fast_path t with
+        match fast_path ~seed t with
         | None -> Error "no solver applies: some job is eligible nowhere"
-        | exception Invalid_argument msg -> Error msg
         | Some (fast_name, fast_result) -> (
             let heavy_hint =
               match hint with "auto" -> auto_hint t | h -> Some h

@@ -2,13 +2,14 @@
 
     A request names a solver (or [auto]) and optionally a time budget in
     milliseconds. Dispatch always computes the near-linear fast path first
-    (setup-aware list scheduling, plus the LPT variants where the
-    environment admits them), then — budget permitting — runs the
-    intended heavier solver and returns whichever schedule is better. If
-    the remaining budget is below the heavy solver's minimum useful
-    runtime by the time it would start (it could then only blow the
-    deadline, not meet it), it is skipped and the fast-path result is
-    returned with [degraded = true]; for the exact
+    (the {!Algos.Catalog} entries marked [fast]: [greedy], plus
+    [lpt-placeholders] and [batch-lpt] where the environment admits
+    them; of equal makespans the earlier entry wins), then — budget
+    permitting — runs the intended heavier solver and returns whichever
+    schedule is better. If the remaining budget is below the heavy
+    solver's minimum useful runtime by the time it would start (it could
+    then only blow the deadline, not meet it), it is skipped and the
+    fast-path result is returned with [degraded = true]; for the exact
     branch-and-bound solver the remaining budget additionally scales the
     node limit.
 
@@ -32,7 +33,8 @@ type outcome = {
 
 val solvers : string list
 (** Accepted solver hints: [auto], [greedy], [lpt], [portfolio],
-    [exact]. *)
+    [exact]. [greedy] and [lpt] run just that catalogue entry ([lpt] is
+    an alias of [lpt-placeholders], the name the reply carries). *)
 
 val solve :
   ?deadline_ms:float -> ?hint:string -> ?seed:int ->

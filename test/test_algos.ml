@@ -670,13 +670,177 @@ let test_portfolio_skips_inapplicable () =
   Alcotest.(check bool) "greedy always present" true
     (List.mem_assoc "greedy" report.Algos.Portfolio.all)
 
-let test_portfolio_with_exact () =
-  let rng = Workloads.Rng.create 103 in
-  let t = Workloads.Gen.identical rng ~n:8 ~m:3 ~k:2 () in
-  let report = Algos.Portfolio.run ~include_exact:true t in
-  let opt = Algos.Exact.makespan t in
-  check_float 1e-9 "exact wins or ties" opt
-    report.Algos.Portfolio.best.Algos.Common.makespan
+(* --- Catalog ------------------------------------------------------------------ *)
+
+module C = Algos.Catalog
+module R = Workloads.Rng
+
+let test_catalog_names () =
+  Alcotest.(check (list (pair string (list string))))
+    "canonical names and aliases, in order"
+    [
+      ("greedy", [ "greedy-by-class" ]);
+      ("greedy-longest", []);
+      ("greedy-input", []);
+      ("lpt-placeholders", [ "lpt" ]);
+      ("oblivious-lpt", []);
+      ("batch-lpt", []);
+      ("ptas", []);
+      ("rounding", []);
+      ("ra-2approx", [ "ra2" ]);
+      ("cu-3approx", [ "cu3" ]);
+    ]
+    (List.map (fun (e : C.entry) -> (e.name, e.aliases)) C.all);
+  let names = List.concat_map (fun (e : C.entry) -> e.name :: e.aliases) C.all in
+  Alcotest.(check int) "names and aliases pairwise distinct"
+    (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun (e : C.entry) ->
+      List.iter
+        (fun n ->
+          Alcotest.(check (option string)) (n ^ " resolves") (Some e.name)
+            (Option.map (fun (f : C.entry) -> f.name) (C.find n)))
+        (e.name :: e.aliases))
+    C.all;
+  List.iter
+    (fun reserved ->
+      Alcotest.(check bool) (reserved ^ " is not in the catalogue") true
+        (C.find reserved = None))
+    [ "auto"; "exact"; "portfolio"; "io"; "oracle" ];
+  let tier f =
+    List.filter_map (fun (e : C.entry) -> if f e then Some e.name else None) C.all
+  in
+  Alcotest.(check (list string)) "portfolio members, in order"
+    [
+      "greedy"; "greedy-longest"; "lpt-placeholders"; "batch-lpt"; "ptas";
+      "rounding"; "ra-2approx"; "cu-3approx";
+    ]
+    (tier (fun e -> e.portfolio));
+  Alcotest.(check (list string)) "fast tier, in order"
+    [ "greedy"; "lpt-placeholders"; "batch-lpt" ]
+    (tier (fun e -> e.fast))
+
+(* Six shapes the preconditions tell apart. Per-job eligibility breaks
+   Theorem 3.10's class-uniform restriction and can leave a job with no
+   machine at all. *)
+let catalog_shapes rng ~n ~m ~k =
+  let per_job =
+    let base = Workloads.Gen.identical rng ~n ~m ~k () in
+    let eligible =
+      Array.init m (fun _ -> Array.init n (fun _ -> R.float rng < 0.6))
+    in
+    I.restricted ~eligible ~sizes:base.I.sizes ~job_class:base.I.job_class
+      ~setups:base.I.setups
+  in
+  [
+    Workloads.Gen.identical rng ~n ~m ~k ();
+    Workloads.Gen.uniform rng ~n ~m ~k ();
+    Workloads.Gen.unrelated rng ~n ~m ~k ~ineligible_prob:0.4 ();
+    Workloads.Gen.restricted_class_uniform rng ~n ~m ~k ();
+    Workloads.Gen.class_uniform_ptimes rng ~n ~m ~k ();
+    per_job;
+  ]
+
+(* The same instance with one class's jobs removed, the class kept. *)
+let with_class_emptied rng t =
+  let k = R.int rng (I.num_classes t) in
+  match
+    List.filter (fun j -> t.I.job_class.(j) <> k) (List.init (I.num_jobs t) Fun.id)
+  with
+  | [] -> []
+  | kept -> [ I.induced t kept ]
+
+(* [applies] must be exactly the precondition: callers select entries
+   by it, so an entry that applies must run and one that does not must
+   be rejected. *)
+let test_catalog_applies () =
+  let rng = R.create 2718 in
+  let all_zero =
+    I.identical ~num_machines:2 ~sizes:[| 0.0; 0.0; 0.0 |]
+      ~job_class:[| 0; 1; 0 |] ~setups:[| 0.0; 0.0 |]
+  in
+  let instances =
+    all_zero
+    :: List.concat_map
+         (fun _ ->
+           let n = 2 + R.int rng 15 and m = 1 + R.int rng 5 in
+           let k = 1 + R.int rng (min n 4) in
+           List.concat_map
+             (fun t -> t :: with_class_emptied rng t)
+             (catalog_shapes rng ~n ~m ~k))
+         (List.init 100 Fun.id)
+  in
+  List.iter
+    (fun t ->
+      List.iter
+        (fun (e : C.entry) ->
+          let ran =
+            match e.run ~seed:1 t with
+            | _ -> true
+            | exception Invalid_argument _ -> false
+          in
+          if ran <> e.applies t then
+            Alcotest.failf "%s: applies is %b but run %s on@.%a" e.name
+              (e.applies t)
+              (if ran then "succeeded" else "raised Invalid_argument")
+              I.pp t)
+        C.all)
+    instances
+
+(* Check.Props's hand-written portfolio factor before the catalogue,
+   kept as the reference for [Portfolio.factor]. *)
+let reference_portfolio_factor t =
+  let uniformish =
+    match t.I.env with
+    | I.Identical | I.Uniform _ -> true
+    | I.Restricted _ | I.Unrelated _ -> false
+  in
+  let ra_applies =
+    (match t.I.env with
+    | I.Identical | I.Restricted _ -> true
+    | I.Uniform _ | I.Unrelated _ -> false)
+    && I.restrict_class_uniform t
+  in
+  let search_tol = 0.02 and ptas_eps = 0.5 in
+  let member_factors =
+    (if uniformish then
+       [
+         Algos.Lpt.approximation_factor;
+         Algos.Uniform_ptas.guarantee ~eps:ptas_eps
+         *. (1.0 +. (ptas_eps /. 4.0));
+       ]
+     else [])
+    @ (if ra_applies then
+         [ Algos.Ra_class_uniform.guarantee *. (1.0 +. search_tol) ]
+       else [])
+    @
+    if I.class_uniform_ptimes t then
+      [ Algos.Um_class_uniform.guarantee *. (1.0 +. search_tol) ]
+    else []
+  in
+  match member_factors with
+  | [] -> None
+  | fs -> Some (List.fold_left Float.min infinity fs)
+
+let test_portfolio_factor () =
+  let rng = R.create 31 in
+  for round = 1 to 12 do
+    let n = 2 + (round mod 7) and m = 1 + (round mod 4) in
+    let k = 1 + (round mod min n 3) in
+    List.iter
+      (fun t ->
+        Alcotest.(check (option (float 0.0)))
+          "Portfolio.factor = the hand-written reference"
+          (reference_portfolio_factor t) (Algos.Portfolio.factor t))
+      [
+        Workloads.Gen.identical rng ~n ~m ~k ();
+        Workloads.Gen.uniform rng ~n ~m ~k ();
+        Workloads.Gen.unrelated rng ~n ~m ~k ();
+        Workloads.Gen.restricted_class_uniform rng ~n ~m ~k ();
+        Workloads.Gen.class_uniform_ptimes rng ~n ~m ~k ();
+      ]
+  done
 
 (* --- Splittable model (Correa et al. [5]) ----------------------------------- *)
 
@@ -1188,8 +1352,10 @@ let instance_gen =
     let* k = int_range 1 3 in
     return (seed, n, m, k))
 
-(* Robustness sweep: every algorithm either returns a valid schedule or
-   raises Invalid_argument (wrong environment) — never a wrong answer. *)
+(* Robustness sweep: every catalogue entry whose precondition holds
+   returns a valid schedule with a consistent makespan — never a wrong
+   answer. The "catalog applies" test shows the others raise
+   Invalid_argument. *)
 let prop_validity_sweep =
   QCheck.Test.make ~name:"all algorithms valid or cleanly rejected" ~count:30
     (QCheck.make instance_gen) (fun (seed, n, m, k) ->
@@ -1203,35 +1369,19 @@ let prop_validity_sweep =
           Workloads.Gen.class_uniform_ptimes rng ~n ~m ~k ();
         ]
       in
-      let algos :
-          (string * (Core.Instance.t -> Algos.Common.result)) list =
-        [
-          ("greedy", fun t -> Algos.List_scheduling.schedule t);
-          ("lpt", Algos.Lpt.schedule);
-          ("batch", Algos.Batch_lpt.schedule);
-          ("ptas", fun t -> Algos.Uniform_ptas.schedule ~eps:0.5 t);
-          ( "rounding",
-            fun t ->
-              fst (Algos.Randomized_rounding.schedule (Workloads.Rng.create seed) t) );
-          ("ra2", fun t -> Algos.Ra_class_uniform.schedule t);
-          ("cu3", fun t -> Algos.Um_class_uniform.schedule t);
-        ]
-      in
       List.for_all
         (fun t ->
           List.for_all
-            (fun (_, algo) ->
-              match algo t with
-              | r ->
-                  S.is_valid t r.Algos.Common.schedule
-                  && Float.abs
-                       (r.Algos.Common.makespan
-                       -. S.makespan r.Algos.Common.schedule)
-                     < 1e-9
-                  && r.Algos.Common.makespan
-                     >= Core.Bounds.lower_bound t -. 1e-6
-              | exception Invalid_argument _ -> true)
-            algos)
+            (fun (e : Algos.Catalog.entry) ->
+              (not (e.applies t))
+              ||
+              let r = e.run ~seed t in
+              S.is_valid t r.Algos.Common.schedule
+              && Float.abs
+                   (r.Algos.Common.makespan -. S.makespan r.Algos.Common.schedule)
+                 < 1e-9
+              && r.Algos.Common.makespan >= Core.Bounds.lower_bound t -. 1e-6)
+            Algos.Catalog.all)
         instances)
 
 let prop_greedy_vs_exact =
@@ -1548,7 +1698,13 @@ let () =
           Alcotest.test_case "beats members" `Quick test_portfolio_beats_members;
           Alcotest.test_case "skips inapplicable" `Quick
             test_portfolio_skips_inapplicable;
-          Alcotest.test_case "with exact" `Quick test_portfolio_with_exact;
+          Alcotest.test_case "factor" `Quick test_portfolio_factor;
+        ] );
+      ( "catalog",
+        [
+          Alcotest.test_case "names" `Quick test_catalog_names;
+          Alcotest.test_case "applies is the precondition" `Quick
+            test_catalog_applies;
         ] );
       ( "splittable",
         [

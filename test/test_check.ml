@@ -69,19 +69,19 @@ let test_oracle_bounds_path () =
 (* --- Props ---------------------------------------------------------------- *)
 
 let test_registry_names () =
-  let names =
-    List.map (fun a -> a.Check.Props.name) (Check.Props.registry ())
-  in
+  let registry = Check.Props.registry () in
   List.iter
-    (fun expected ->
-      Alcotest.(check bool) ("registry has " ^ expected) true
-        (List.mem expected names))
+    (fun name ->
+      Alcotest.(check bool) ("registry has " ^ name) true
+        (Check.Props.find ~name registry <> None))
     [
-      "greedy"; "greedy-longest"; "greedy-by-class"; "lpt-placeholders";
-      "batch-lpt"; "ptas"; "rounding"; "ra2"; "cu3"; "portfolio";
+      "greedy"; "greedy-longest"; "greedy-by-class"; "greedy-input";
+      "lpt-placeholders"; "lpt"; "oblivious-lpt"; "batch-lpt"; "ptas";
+      "rounding"; "ra2"; "ra-2approx"; "cu3"; "cu-3approx"; "portfolio";
     ];
   Alcotest.(check bool) "mutant not registered" false
-    (List.mem Check.Props.mutant.Check.Props.name names)
+    (Check.Props.find ~name:Check.Props.mutant.Check.Props.name registry
+    <> None)
 
 let test_all_algos_clean_on_small_instance () =
   let t = identical_small () in

@@ -6,38 +6,31 @@ module S = Core.Schedule
 
 let check_float = Alcotest.(check (float 1e-9))
 
-let algorithms : (string * (I.t -> Algos.Common.result)) list =
-  [
-    ("greedy", fun t -> Algos.List_scheduling.schedule t);
-    ("lpt", Algos.Lpt.schedule);
-    ("batch-lpt", Algos.Batch_lpt.schedule);
-    ("ptas", fun t -> Algos.Uniform_ptas.schedule ~eps:0.5 t);
-    ( "rounding",
-      fun t ->
-        fst (Algos.Randomized_rounding.schedule (Workloads.Rng.create 1) t) );
-    ("ra2", fun t -> Algos.Ra_class_uniform.schedule t);
-    ("cu3", fun t -> Algos.Um_class_uniform.schedule t);
-    ("exact", fun t -> (Algos.Exact.solve t).Algos.Exact.result);
-  ]
+(* Every catalogue entry whose precondition holds, and the exact
+   solver; every job of these instances has an eligible machine. *)
+let algorithms t =
+  List.filter_map
+    (fun (e : Algos.Catalog.entry) ->
+      if e.applies t then Some (e.name, e.run ~seed:1) else None)
+    Algos.Catalog.all
+  @ [ ("exact", fun t -> (Algos.Exact.solve t).Algos.Exact.result) ]
 
 let run_all name t ~expect_opt =
   List.iter
     (fun (algo_name, algo) ->
-      match algo t with
-      | r ->
+      let r = algo t in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s/%s valid" name algo_name)
+        true
+        (S.is_valid t r.Algos.Common.schedule);
+      match expect_opt with
+      | Some opt ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s/%s valid" name algo_name)
+            (Printf.sprintf "%s/%s >= OPT" name algo_name)
             true
-            (S.is_valid t r.Algos.Common.schedule);
-          (match expect_opt with
-          | Some opt ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s/%s >= OPT" name algo_name)
-                true
-                (r.Algos.Common.makespan >= opt -. 1e-9)
-          | None -> ())
-      | exception Invalid_argument _ -> ())
-    algorithms
+            (r.Algos.Common.makespan >= opt -. 1e-9)
+      | None -> ())
+    (algorithms t)
 
 let test_zero_setups () =
   (* the classical problem: all setups zero *)

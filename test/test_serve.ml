@@ -388,6 +388,60 @@ let test_dispatch_lpt_inapplicable () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "lpt should not apply to unrelated machines"
 
+let test_dispatch_lpt_hint () =
+  let inst = Workloads.Gen.uniform (rng 11) ~n:30 ~m:3 ~k:3 () in
+  match Serve.Dispatch.solve ~hint:"lpt" inst with
+  | Error msg -> Alcotest.fail msg
+  | Ok o ->
+      Alcotest.(check string) "the canonical name" "lpt-placeholders"
+        o.Serve.Dispatch.solver;
+      Alcotest.(check (float 0.0)) "Lemma 2.1's schedule"
+        (Algos.Lpt.schedule inst).Algos.Common.makespan
+        o.Serve.Dispatch.result.Algos.Common.makespan
+
+(* A reply names [exact], [exact-budgeted] or a catalogue entry, behind
+   an optional [portfolio:] and an optional [+local-search]. At n = 250
+   the portfolio takes seconds, so it runs with a spent budget there and
+   the fast tier answers. *)
+let test_dispatch_solver_names () =
+  let names =
+    "exact" :: "exact-budgeted"
+    :: List.map (fun (e : Algos.Catalog.entry) -> e.name) Algos.Catalog.all
+  in
+  let strip solver =
+    let solver =
+      match Astring.String.cut ~sep:"portfolio:" solver with
+      | Some ("", rest) -> rest
+      | _ -> solver
+    in
+    match Astring.String.cut ~rev:true ~sep:"+local-search" solver with
+    | Some (head, "") -> head
+    | _ -> solver
+  in
+  let r = rng 12 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun inst ->
+          List.iter
+            (fun hint ->
+              let deadline_ms = if n > 200 then Some 0.0 else None in
+              match Serve.Dispatch.solve ?deadline_ms ~hint inst with
+              | Error msg -> if hint <> "lpt" then Alcotest.fail msg
+              | Ok o ->
+                  if not (List.mem (strip o.Serve.Dispatch.solver) names) then
+                    Alcotest.failf "hint %s, n = %d: solver %S" hint n
+                      o.Serve.Dispatch.solver)
+            [ "auto"; "greedy"; "lpt"; "portfolio" ])
+        [
+          Workloads.Gen.identical r ~n ~m:3 ~k:3 ();
+          Workloads.Gen.uniform r ~n ~m:3 ~k:3 ();
+          Workloads.Gen.unrelated r ~n ~m:3 ~k:3 ();
+          Workloads.Gen.restricted_class_uniform r ~n ~m:3 ~k:3 ();
+          Workloads.Gen.class_uniform_ptimes r ~n ~m:3 ~k:3 ();
+        ])
+    [ 8; 20; 250 ]
+
 (* --- Proto -------------------------------------------------------------- *)
 
 let roundtrip_via_file write read =
@@ -3424,6 +3478,8 @@ let () =
             test_dispatch_unknown_solver;
           Alcotest.test_case "lpt inapplicable" `Quick
             test_dispatch_lpt_inapplicable;
+          Alcotest.test_case "lpt hint" `Quick test_dispatch_lpt_hint;
+          Alcotest.test_case "solver names" `Quick test_dispatch_solver_names;
           Alcotest.test_case "pressure sheds heavy tier" `Quick
             test_dispatch_pressure_sheds;
         ] );
